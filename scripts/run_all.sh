@@ -6,8 +6,9 @@
 #          concurrency-sensitive suites (mrt::par + simulator) under
 #          ThreadSanitizer with MRT_THREADS=4, then exit.
 #   asan — build with -DMRT_SANITIZE=address,undefined into build-asan and
-#          run the chaos campaigns plus the simulator suites under
-#          AddressSanitizer + UBSan, then exit.
+#          run the chaos campaigns, the simulator suites, the batched
+#          routing tables (rib + the dyn seam under them) and the serve
+#          tier under AddressSanitizer + UBSan, then exit.
 #   --preset dyn — tsan build focused on the incremental solvers: runs the
 #          mrt::dyn seam suites plus the differential property suite under
 #          ThreadSanitizer with MRT_THREADS=4, then exit.
@@ -146,12 +147,19 @@ fi
 if [ "${ARGS[0]:-}" = "asan" ]; then
   cmake -B build-asan -DMRT_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target mrt_tests mrt_chaos_tests
+  cmake --build build-asan -j "$(nproc)" --target mrt_tests mrt_chaos_tests \
+    mrt_property_tests mrt_serve_tests
   # The chaos tier exercises the fault injectors and oracles end to end;
   # the simulator suites cover the event queue and protocol core.
   ctest --test-dir build-asan --output-on-failure -L chaos
   ctest --test-dir build-asan --output-on-failure \
     -R 'Sim|PathVector|EventQueue'
+  # The routing tables and the daemon: a demotion frees the flat blocks and
+  # binds reference columns in the middle of a table's life, and a rejected
+  # batch must leave every table untouched.
+  ctest --test-dir build-asan --output-on-failure -L serve
+  ctest --test-dir build-asan --output-on-failure \
+    -R 'Rib|DynNet|DynDifferential|SolverSeam'
   echo "asan preset passed"
   exit 0
 fi

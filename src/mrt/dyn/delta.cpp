@@ -93,8 +93,16 @@ DynNet::DynNet(LabeledGraph net) : net_(std::move(net)) {
 
 DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   const int narcs = net_.graph().num_arcs();
-  auto check_arc = [&](int a) { MRT_REQUIRE(a >= 0 && a < narcs); };
-  auto check_node = [&](int v) { MRT_REQUIRE(v >= 0 && v < num_nodes()); };
+  // Validate the whole batch before mutating anything: a bad id anywhere in
+  // it throws with the net, its masks, labels and version untouched.
+  for (const DeltaOp& op : delta.ops) {
+    if (op.kind == DeltaOp::Kind::NodeDown ||
+        op.kind == DeltaOp::Kind::NodeUp) {
+      MRT_REQUIRE(op.node >= 0 && op.node < num_nodes());
+    } else {
+      MRT_REQUIRE(op.arc >= 0 && op.arc < narcs);
+    }
+  }
   // Snapshot-and-diff: a batch reports its *net* effect, so an arc or node
   // that flaps down-then-up inside one batch (common in replayed simulator
   // event streams) produces no spurious invalidation work downstream.
@@ -107,15 +115,12 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   for (const DeltaOp& op : delta.ops) {
     switch (op.kind) {
       case DeltaOp::Kind::ArcDown:
-        check_arc(op.arc);
         arc_up_[static_cast<std::size_t>(op.arc)] = false;
         break;
       case DeltaOp::Kind::ArcUp:
-        check_arc(op.arc);
         arc_up_[static_cast<std::size_t>(op.arc)] = true;
         break;
       case DeltaOp::Kind::Relabel: {
-        check_arc(op.arc);
         const bool seen = std::any_of(
             label_before.begin(), label_before.end(),
             [&](const auto& p) { return p.first == op.arc; });
@@ -124,11 +129,9 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
         break;
       }
       case DeltaOp::Kind::NodeDown:
-        check_node(op.node);
         node_up_[static_cast<std::size_t>(op.node)] = false;
         break;
       case DeltaOp::Kind::NodeUp:
-        check_node(op.node);
         node_up_[static_cast<std::size_t>(op.node)] = true;
         break;
     }

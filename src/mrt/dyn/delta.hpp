@@ -110,6 +110,9 @@ class DynNet {
   };
 
   /// Applies a batch of edits; every list in the result is sorted + deduped.
+  /// Every op's arc or node id is checked before anything is mutated, so a
+  /// batch with an out-of-range id throws std::logic_error and leaves the
+  /// net (masks, labels, version) exactly as it was.
   Applied apply(const TopologyDelta& delta);
 
  private:

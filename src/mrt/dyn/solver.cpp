@@ -32,6 +32,31 @@ void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
 }
 
+void journal_delta(std::uint32_t stream, const TopologyDelta& delta,
+                   const DynNet::Applied& ap, const DynNet& net) {
+  if (!obs::journal_enabled()) return;
+  using obs::EventKind;
+  using obs::Subsystem;
+  obs::jrecord(Subsystem::Dyn, EventKind::UpdateBegin, stream, -1, -1,
+               static_cast<std::int64_t>(delta.ops.size()), net.version());
+  for (int id : ap.changed_arcs) {
+    const bool relabeled = std::binary_search(ap.relabeled_arcs.begin(),
+                                              ap.relabeled_arcs.end(), id);
+    obs::jrecord(Subsystem::Dyn,
+                 relabeled ? EventKind::DeltaRelabel : EventKind::DeltaArc,
+                 stream, net.graph().arc(id).src, id, net.arc_alive(id) ? 1 : 0,
+                 net.version());
+  }
+  for (int v : ap.nodes_down) {
+    obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeDown, stream, v, -1, 0,
+                 net.version());
+  }
+  for (int v : ap.nodes_up) {
+    obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeUp, stream, v, -1, 0,
+                 net.version());
+  }
+}
+
 }  // namespace dyn
 
 namespace {
@@ -90,7 +115,7 @@ class EngineBase : public Solver {
         obs::registry().histogram("dyn.update_ns");
     obs::ScopedTimer timer(update_ns);
     const DynNet::Applied ap = dnet_.apply(delta);
-    journal_delta(delta, ap);
+    dyn::journal_delta(jstream_, delta, ap, dnet_);
     // Delta-aware re-encoding: only the relabeled arcs' programs recompile.
     if (weng_ != nullptr) {
       for (int id : ap.relabeled_arcs) cnet_.relabel(id, dnet_.label(id));
@@ -301,31 +326,6 @@ class EngineBase : public Solver {
                                [&](int v) { return !node_ok(v); }),
                 seeds.end());
     return seeds;
-  }
-
-  /// Journals the applied delta batch: one record per op, all carrying the
-  /// post-apply topology version, so provenance can map a route change back
-  /// to the exact ops of the batch that caused it.
-  void journal_delta(const TopologyDelta& delta, const DynNet::Applied& ap) {
-    if (!obs::journal_enabled()) return;
-    obs::jrecord(Subsystem::Dyn, EventKind::UpdateBegin, jstream_, -1, -1,
-                 static_cast<std::int64_t>(delta.ops.size()), dnet_.version());
-    for (int id : ap.changed_arcs) {
-      const bool relabeled = std::binary_search(ap.relabeled_arcs.begin(),
-                                                ap.relabeled_arcs.end(), id);
-      obs::jrecord(Subsystem::Dyn,
-                   relabeled ? EventKind::DeltaRelabel : EventKind::DeltaArc,
-                   jstream_, dnet_.graph().arc(id).src, id,
-                   dnet_.arc_alive(id) ? 1 : 0, dnet_.version());
-    }
-    for (int v : ap.nodes_down) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeDown, jstream_, v, -1,
-                   0, dnet_.version());
-    }
-    for (int v : ap.nodes_up) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeUp, jstream_, v, -1, 0,
-                   dnet_.version());
-    }
   }
 
   /// Journals the routing diff against the previously published solution:
@@ -643,8 +643,6 @@ class BellmanEngine final : public EngineBase {
   }
 
  private:
-  static constexpr int kMaxRounds = 1000;  // matches BellmanOptions
-
   void cold_solve() override {
     const int n = dnet_.num_nodes();
     r_.weight.assign(static_cast<std::size_t>(n), std::nullopt);
@@ -682,7 +680,7 @@ class BellmanEngine final : public EngineBase {
     }
     int rounds = 0;
     while (!frontier.empty()) {
-      if (++rounds > kMaxRounds) return false;
+      if (++rounds > dyn::kMaxRounds) return false;
       obs::jrecord(Subsystem::Dyn, EventKind::RelaxWave, jstream_, -1, -1,
                    static_cast<std::int64_t>(frontier.size()),
                    dnet_.version());

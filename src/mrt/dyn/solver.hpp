@@ -57,6 +57,18 @@ bool enabled();
 /// In-process override for A/B benches and tests (wins over the env).
 void set_enabled(bool on);
 
+/// Round cap of the Bellman engine's Gauss–Seidel worklist (matches
+/// BellmanOptions::max_iterations). rib::RibSolver's flat columns cap at the
+/// same value, which byte identity with this engine requires.
+inline constexpr int kMaxRounds = 1000;
+
+/// Journals an applied delta batch on `stream`: one UpdateBegin record, then
+/// one record per changed arc and per node transition, all carrying the
+/// post-apply topology version of `net`, so provenance can map a route
+/// change back to the exact ops of the batch that caused it.
+void journal_delta(std::uint32_t stream, const TopologyDelta& delta,
+                   const DynNet::Applied& ap, const DynNet& net);
+
 }  // namespace dyn
 
 /// The solver seam. Implementations are the routing algorithms themselves —

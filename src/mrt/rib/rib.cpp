@@ -1,6 +1,7 @@
 #include "mrt/rib/rib.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -22,38 +23,22 @@ using dyn::TopologyDelta;
 using obs::EventKind;
 using obs::Subsystem;
 
-int popcount8(unsigned m) {
-  int c = 0;
-  while (m != 0) {
-    m &= m - 1;
-    ++c;
-  }
-  return c;
-}
-
-int ctz8(unsigned m) {
-  int i = 0;
-  while ((m & 1u) == 0) {
-    m >>= 1;
-    ++i;
-  }
-  return i;
-}
-
 }  // namespace
 
 // All batched passes below mirror the dyn Bellman engine *per column*: the
 // same Gauss–Seidel worklist (frontier sorted ascending each round, tails of
-// all in-arcs activated on change, round cap opts.max_rounds), the same
+// all in-arcs activated on change, round cap dyn::kMaxRounds), the same
 // smallest-arc-id tie break in the candidate scan, the same transitive
 // witness invalidation, and the same canonical witness-forest rebuild.
 // Columns never read each other's state, so running them in lockstep over a
 // shared arc visit changes only the memory traffic — each column's
 // trajectory, and therefore its bytes, is exactly the standalone solver's.
+//
+// A table that does not compile runs that standalone solver itself: one
+// reference column, a dyn::Solver(EngineKind::Bellman), per destination.
 struct RibSolver::Impl {
   OrderTransform alg;
   const compile::WeightEngine* weng = nullptr;
-  RibOptions opts;
 
   DynNet dnet;
   Value origin;
@@ -64,6 +49,9 @@ struct RibSolver::Impl {
   bool flat = false;       // batched flat kernels active
   std::size_t stride = 0;  // words per weight (flat)
   std::vector<std::uint64_t> origin_w;
+
+  // The reference columns of a table that is not flat, one per destination.
+  std::vector<std::unique_ptr<Solver>> refs;
 
   // Shared alive-mask: one byte per arc id, refreshed once per topology
   // version and read by every column of every block.
@@ -81,17 +69,12 @@ struct RibSolver::Impl {
     // destinations that array cost n bytes per block (n²/8 total, 12.5 MB at
     // 10k nodes); eight compares per frontier visit recover the same mask.
     int dest[kBlockCols] = {-1, -1, -1, -1, -1, -1, -1, -1};
-    // flat storage
     std::vector<std::uint64_t> w;        // n * cols * stride (zero-init; rows
                                          // only ever hold valid encodings)
     std::vector<std::uint8_t> present;   // n, bit l = column routed
-    // shared (flat + boxed)
     std::vector<int> next;               // n * cols witness arcs (-1 = none)
-    // boxed fallback storage, per lane
-    std::vector<std::vector<std::optional<Value>>> bw;  // cols × n
   };
   std::vector<Block> blocks;
-  int bwidth = kBlockCols;
 
   std::uint8_t destmask_of(const Block& blk, int u) const {
     std::uint8_t m = 0;
@@ -102,8 +85,8 @@ struct RibSolver::Impl {
   }
 
   // Shared per-thread scratch arena: every dense all-|V| temporary the block
-  // passes need (frontier masks, invalidation state, boxed queues) lives
-  // here once per thread instead of being allocated per block per update.
+  // passes need (frontier masks, invalidation state) lives here once per
+  // thread instead of being allocated per block per update.
   // The qmask/inv arrays rely on a consume-what-you-set discipline — every
   // pass that sets bits clears them before returning — so blocks on the
   // same thread reuse them without an O(n) wipe.
@@ -114,8 +97,6 @@ struct RibSolver::Impl {
     std::vector<std::pair<int, std::uint8_t>> stack;
     std::vector<int> killed;  // nodes holding inv bits this pass
     std::vector<int> seeded;  // nodes holding qmask bits this pass
-    std::vector<char> queued;            // boxed relax bookkeeping
-    std::vector<int> bfrontier, bnextf;  // boxed relax worklists
     void ensure(std::size_t n) {
       if (qmask.size() != n) {
         qmask.assign(n, 0);
@@ -146,12 +127,8 @@ struct RibSolver::Impl {
   mutable std::vector<Routing> rcache;
   mutable std::vector<std::uint8_t> rvalid;
 
-  Impl(const OrderTransform& a, const compile::WeightEngine* e, RibOptions o)
-      : alg(a), weng(e), opts(o) {
-    if (opts.block < 1) opts.block = 1;
-    if (opts.block > kBlockCols) opts.block = kBlockCols;
-    if (opts.max_rounds < 1) opts.max_rounds = 1;
-  }
+  Impl(const OrderTransform& a, const compile::WeightEngine* e)
+      : alg(a), weng(e) {}
 
   int columns() const { return static_cast<int>(dsts.size()); }
 
@@ -171,12 +148,7 @@ struct RibSolver::Impl {
 
   void clear_route(Block& blk, int v, int l) {
     const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-    if (flat) {
-      blk.present[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
-    } else {
-      blk.bw[static_cast<std::size_t>(l)][static_cast<std::size_t>(v)] =
-          std::nullopt;
-    }
+    blk.present[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
     blk.next[static_cast<std::size_t>(v) * static_cast<std::size_t>(blk.cols) +
              static_cast<std::size_t>(l)] = -1;
   }
@@ -317,7 +289,7 @@ struct RibSolver::Impl {
     std::uint8_t capped = 0;
     int rounds = 0;
     while (!frontier.empty()) {
-      if (++rounds > opts.max_rounds) {
+      if (++rounds > dyn::kMaxRounds) {
         for (int u : frontier) {
           capped |= qmask[static_cast<std::size_t>(u)];
           qmask[static_cast<std::size_t>(u)] = 0;
@@ -345,7 +317,7 @@ struct RibSolver::Impl {
             const std::uint8_t need =
                 scan & P[static_cast<std::size_t>(v)];
             if (need == 0) continue;
-            relaxations += static_cast<std::uint64_t>(popcount8(need));
+            relaxations += static_cast<std::uint64_t>(std::popcount(need));
             const std::uint64_t* src = W + static_cast<std::size_t>(v) * rowlen;
             // One fused call per arc visit: apply the label program to every
             // needed lane (blocked opcode decode; lanes outside `need`
@@ -360,14 +332,14 @@ struct RibSolver::Impl {
                                        need, bestm);
             bestm |= adopted;
             for (unsigned m = adopted; m != 0; m &= m - 1) {
-              best_arc[ctz8(m)] = id;
+              best_arc[std::countr_zero(m)] = id;
             }
           }
         }
         std::uint8_t changed = 0;
         std::uint64_t* wu = W + static_cast<std::size_t>(u) * rowlen;
         for (unsigned m = act; m != 0; m &= m - 1) {
-          const int l = ctz8(m);
+          const int l = std::countr_zero(m);
           const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
           std::uint64_t* wl = wu + static_cast<std::size_t>(l) * lmul;
           const std::uint64_t* bl =
@@ -514,168 +486,6 @@ struct RibSolver::Impl {
     }
   }
 
-  // --- boxed fallback (per-lane loops, byte-identical) ----------------------
-
-  std::uint8_t boxed_relax(Block& blk, std::vector<std::uint8_t>& qmask,
-                           std::vector<std::uint8_t>& touched,
-                           std::uint64_t& relaxations) {
-    const int n = dnet.num_nodes();
-    const Digraph& g = dnet.graph();
-    const CsrAdjacency& out = g.csr_out();
-    const CsrAdjacency& in = g.csr_in();
-    std::uint8_t capped = 0;
-    // Per-thread worklist state from the shared arena — the per-lane queue
-    // flags and both frontiers were previously allocated per lane (and the
-    // next-frontier once per round).
-    Scratch& s = scratch();
-    for (int l = 0; l < blk.cols; ++l) {
-      const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-      const int dest = dsts[static_cast<std::size_t>(blk.base + l)];
-      auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-      s.queued.assign(static_cast<std::size_t>(n), 0);
-      std::vector<int>& frontier = s.bfrontier;
-      std::vector<int>& nextf = s.bnextf;
-      frontier.clear();
-      for (int v = 0; v < n; ++v) {
-        if ((qmask[static_cast<std::size_t>(v)] & bit) != 0) {
-          s.queued[static_cast<std::size_t>(v)] = 1;
-          frontier.push_back(v);
-        }
-      }
-      int rounds = 0;
-      while (!frontier.empty()) {
-        if (++rounds > opts.max_rounds) {
-          capped |= bit;
-          frontier.clear();
-          break;
-        }
-        std::sort(frontier.begin(), frontier.end());
-        for (int u : frontier) s.queued[static_cast<std::size_t>(u)] = 0;
-        nextf.clear();
-        auto activate = [&](int x) {
-          if (dnet.node_up(x) && !s.queued[static_cast<std::size_t>(x)]) {
-            s.queued[static_cast<std::size_t>(x)] = 1;
-            nextf.push_back(x);
-          }
-        };
-        for (int u : frontier) {
-          touched[static_cast<std::size_t>(u)] |= bit;
-          bool changed = false;
-          auto& wu = wcol[static_cast<std::size_t>(u)];
-          if (u == dest) {
-            changed = !wu || !(*wu == origin);
-            if (changed) {
-              wu = origin;
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = -1;
-            }
-          } else {
-            std::optional<Value> bestw;
-            int besta = -1;
-            for (int e = out.begin(u); e < out.end(u); ++e) {
-              const int id = out.arc[static_cast<std::size_t>(e)];
-              if (!alive[static_cast<std::size_t>(id)]) continue;
-              const int v = out.head[static_cast<std::size_t>(e)];
-              if (v == u) continue;
-              const auto& wv = wcol[static_cast<std::size_t>(v)];
-              if (!wv) continue;
-              ++relaxations;
-              Value c = alg.fns->apply(dnet.label(id), *wv);
-              if (!bestw || lt_of(alg.ord->cmp(c, *bestw))) {
-                bestw = std::move(c);
-                besta = id;
-              }
-            }
-            changed = (bestw.has_value() != wu.has_value()) ||
-                      (bestw && !(*bestw == *wu));
-            if (changed) {
-              wu = std::move(bestw);
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = besta;
-            }
-          }
-          if (changed) {
-            for (int e = in.begin(u); e < in.end(u); ++e) {
-              activate(in.head[static_cast<std::size_t>(e)]);
-            }
-          }
-        }
-        frontier.swap(nextf);
-      }
-      // Leave qmask clean for a retry pass.
-      for (int v = 0; v < n; ++v) {
-        qmask[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~bit);
-      }
-    }
-    return capped;
-  }
-
-  void boxed_rebuild(Block& blk, int l, std::uint64_t& relaxations) {
-    const int n = dnet.num_nodes();
-    const Digraph& g = dnet.graph();
-    const CsrAdjacency& out = g.csr_out();
-    const CsrAdjacency& in = g.csr_in();
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-    (void)bit;
-    const int dest = dsts[static_cast<std::size_t>(blk.base + l)];
-    auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-    std::vector<char> attached(static_cast<std::size_t>(n), 0);
-    if (dnet.node_up(dest) && wcol[static_cast<std::size_t>(dest)]) {
-      wcol[static_cast<std::size_t>(dest)] = origin;
-      blk.next[static_cast<std::size_t>(dest) *
-                   static_cast<std::size_t>(blk.cols) +
-               static_cast<std::size_t>(l)] = -1;
-      attached[static_cast<std::size_t>(dest)] = 1;
-      std::vector<int> frontier{dest};
-      std::vector<int> cands;
-      std::vector<int> nextf;
-      while (!frontier.empty()) {
-        cands.clear();
-        for (int v : frontier) {
-          for (int e = in.begin(v); e < in.end(v); ++e) {
-            const int id = in.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int u = in.head[static_cast<std::size_t>(e)];
-            if (!attached[static_cast<std::size_t>(u)] && dnet.node_up(u) &&
-                wcol[static_cast<std::size_t>(u)]) {
-              cands.push_back(u);
-            }
-          }
-        }
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-        nextf.clear();
-        for (int u : cands) {
-          for (int e = out.begin(u); e < out.end(u); ++e) {
-            const int id = out.arc[static_cast<std::size_t>(e)];
-            if (!alive[static_cast<std::size_t>(id)]) continue;
-            const int h = out.head[static_cast<std::size_t>(e)];
-            if (h == u || !attached[static_cast<std::size_t>(h)]) continue;
-            ++relaxations;
-            Value c = alg.fns->apply(dnet.label(id),
-                                     *wcol[static_cast<std::size_t>(h)]);
-            if (equiv_of(
-                    alg.ord->cmp(c, *wcol[static_cast<std::size_t>(u)]))) {
-              wcol[static_cast<std::size_t>(u)] = std::move(c);
-              blk.next[static_cast<std::size_t>(u) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)] = id;
-              nextf.push_back(u);
-              break;
-            }
-          }
-        }
-        for (int u : nextf) attached[static_cast<std::size_t>(u)] = 1;
-        frontier.swap(nextf);
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (!attached[static_cast<std::size_t>(v)]) clear_route(blk, v, l);
-    }
-  }
-
   // --- shared invalidation / seeding ----------------------------------------
 
   /// One transitive witness-invalidation pass over every warm lane of the
@@ -704,7 +514,7 @@ struct RibSolver::Impl {
     auto witness_mask = [&](int u, int id, std::uint8_t m) {
       std::uint8_t out = 0;
       for (unsigned mm = m; mm != 0; mm &= mm - 1) {
-        const int l = ctz8(mm);
+        const int l = std::countr_zero(mm);
         if (blk.next[static_cast<std::size_t>(u) *
                          static_cast<std::size_t>(cols) +
                      static_cast<std::size_t>(l)] == id) {
@@ -732,7 +542,7 @@ struct RibSolver::Impl {
       const std::uint8_t m = s.inv[static_cast<std::size_t>(v)];
       s.inv[static_cast<std::size_t>(v)] = 0;  // leave inv all-zero again
       for (unsigned mm = m; mm != 0; mm &= mm - 1) {
-        clear_route(blk, v, ctz8(mm));
+        clear_route(blk, v, std::countr_zero(mm));
       }
       if (dnet.node_up(v)) seed(v, m);
     }
@@ -759,7 +569,7 @@ struct RibSolver::Impl {
     }
     plan.warmm = all & static_cast<std::uint8_t>(~plan.coldm);
     plan.cost = static_cast<std::uint64_t>(dnet.num_nodes()) *
-                static_cast<std::uint64_t>(popcount8(plan.coldm));
+                static_cast<std::uint64_t>(std::popcount(plan.coldm));
     if (plan.warmm == 0) return;
     Scratch& s = scratch();
     s.ensure(static_cast<std::size_t>(dnet.num_nodes()));
@@ -781,28 +591,13 @@ struct RibSolver::Impl {
     for (int v : s.seeded) {
       const std::uint8_t m = s.qmask[static_cast<std::size_t>(v)];
       plan.seeds.emplace_back(v, m);
-      plan.cost += static_cast<std::uint64_t>(popcount8(m));
+      plan.cost += static_cast<std::uint64_t>(std::popcount(m));
       s.qmask[static_cast<std::size_t>(v)] = 0;  // leave qmask all-zero again
     }
     s.seeded.clear();
   }
 
   // --- per-block driver ------------------------------------------------------
-
-  std::uint8_t relax(Block& blk, std::vector<std::uint8_t>& qmask,
-                     std::vector<std::uint8_t>& touched,
-                     std::uint64_t& relaxations, bool ivec) {
-    return flat ? flat_relax(blk, qmask, touched, relaxations, ivec)
-                : boxed_relax(blk, qmask, touched, relaxations);
-  }
-
-  void rebuild(Block& blk, int l, std::uint64_t& relaxations) {
-    if (flat) {
-      flat_rebuild(blk, l, relaxations);
-    } else {
-      boxed_rebuild(blk, l, relaxations);
-    }
-  }
 
   /// Phase 2: runs one planned block — seed the frontier from the plan,
   /// relax every lane in lockstep, retry capped warm lanes cold with a fresh
@@ -818,7 +613,7 @@ struct RibSolver::Impl {
     // blocks run on slot-major rows so the SIMD select kernel is gather-free
     // end to end. The one-off reshape amortizes only when whole lanes
     // rebuild; warm-only relaxes keep the lane-major layout untouched.
-    const bool ivec = flat && stride > 1 && cols == kBlockCols &&
+    const bool ivec = stride > 1 && cols == kBlockCols &&
                       coldm != 0 && compile::simd::enabled() &&
                       cnet.algebra().lex_flat();
     Scratch& s = scratch();
@@ -830,7 +625,7 @@ struct RibSolver::Impl {
     }
     s.touched.assign(static_cast<std::size_t>(n), 0);
     for (unsigned mm = coldm; mm != 0; mm &= mm - 1) {
-      const int l = ctz8(mm);
+      const int l = std::countr_zero(mm);
       clear_lane(blk, l);
       const int d = dsts[static_cast<std::size_t>(blk.base + l)];
       if (dnet.node_up(d)) {
@@ -839,8 +634,8 @@ struct RibSolver::Impl {
       }
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/true);
-    const std::uint8_t capped = relax(blk, s.qmask, s.touched, relaxations,
-                                      ivec);
+    const std::uint8_t capped =
+        flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
 
     const std::uint8_t retry = capped & warmm;
     std::uint8_t capped2 = 0;
@@ -848,7 +643,7 @@ struct RibSolver::Impl {
       // clear_lane touches only present/next bits, so the slot-major rows
       // can stay in place across the retry.
       for (unsigned mm = retry; mm != 0; mm &= mm - 1) {
-        const int l = ctz8(mm);
+        const int l = std::countr_zero(mm);
         clear_lane(blk, l);
         const int d = dsts[static_cast<std::size_t>(blk.base + l)];
         if (dnet.node_up(d)) {
@@ -856,19 +651,19 @@ struct RibSolver::Impl {
               static_cast<std::uint8_t>(1u << l);
         }
       }
-      capped2 = relax(blk, s.qmask, s.touched, relaxations, ivec);
+      capped2 = flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/false);
     const std::uint8_t final_cold = coldm | retry;
     const std::uint8_t unconv =
         static_cast<std::uint8_t>((capped & coldm) | capped2);
-    cold_cols += popcount8(final_cold);
+    cold_cols += std::popcount(final_cold);
     for (int l = 0; l < cols; ++l) {
       const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
       const bool conv = (unconv & bit) == 0;
       col_conv[static_cast<std::size_t>(blk.base + l)] =
           conv ? 1 : 0;
-      if (conv) rebuild(blk, l, relaxations);
+      if (conv) flat_rebuild(blk, l, relaxations);
       if ((final_cold & bit) != 0) {
         stats.affected[static_cast<std::size_t>(blk.base + l)] = n;
       } else {
@@ -916,7 +711,76 @@ struct RibSolver::Impl {
     rvalid.assign(static_cast<std::size_t>(columns()), 0);
   }
 
-  // --- stats / journal -------------------------------------------------------
+  // --- reference columns ------------------------------------------------------
+
+  /// Runs `step(solver, c, fold)` on every reference column under the same
+  /// par::parallel_for the blocks use; `step` calls `fold()` after each of
+  /// the column's solve()/update() calls. Columns merge their UpdateStats
+  /// in column order, exactly as the flat blocks account: relaxations
+  /// summed, affected[c] = |V| for a column that went cold, cold columns
+  /// counted — so the stats, like the routes, are the same at any thread
+  /// count.
+  template <typename Step>
+  void run_refs(const Step& step) {
+    const std::size_t nc = refs.size();
+    std::vector<std::uint64_t> relax(nc, 0);
+    std::vector<std::uint8_t> cold(nc, 0);
+    par::parallel_for(nc, 1, [&](std::size_t c0, std::size_t c1) {
+      for (std::size_t c = c0; c < c1; ++c) {
+        Solver& ref = *refs[c];
+        step(ref, c, [&] {
+          const dyn::UpdateStats& st = ref.last_update();
+          relax[c] += st.relaxations;
+          if (st.cold) cold[c] = 1;
+          stats.affected[c] = cold[c] ? stats.total : st.affected;
+        });
+        col_conv[c] = ref.converged() ? 1 : 0;
+      }
+    });
+    for (std::size_t c = 0; c < nc; ++c) {
+      stats.relaxations += relax[c];
+      stats.cold_columns += cold[c];
+    }
+    stats.cold = stats.cold_columns == stats.columns;
+  }
+
+  void make_refs() {
+    refs.clear();
+    for (std::size_t c = 0; c < dsts.size(); ++c) {
+      refs.push_back(dyn::make_solver(dyn::EngineKind::Bellman, alg));
+    }
+  }
+
+  /// A relabel pushed the network off the compiled path (a label outside the
+  /// family's range): drop the flat blocks and bind one reference column
+  /// per destination to the current topology — a cold solve over the
+  /// current labels, then the admin and crash masks as one delta. Every
+  /// column does cold work, so the demoting update reports cold.
+  void demote() {
+    blocks = {};
+    rcache = {};
+    cnet = compile::CompiledNet();
+    flat = false;
+    if (obs::enabled()) obs::counter("dyn.rib.flat_demotions").add(1);
+    std::vector<bool> arc_up(static_cast<std::size_t>(dnet.graph().num_arcs()));
+    std::vector<bool> node_up(static_cast<std::size_t>(dnet.num_nodes()));
+    for (std::size_t a = 0; a < arc_up.size(); ++a) {
+      arc_up[a] = dnet.arc_admin_up(static_cast<int>(a));
+    }
+    for (std::size_t v = 0; v < node_up.size(); ++v) {
+      node_up[v] = dnet.node_up(static_cast<int>(v));
+    }
+    const TopologyDelta masks = TopologyDelta::to_state(arc_up, node_up);
+    make_refs();
+    run_refs([&](Solver& ref, std::size_t c, const auto& fold) {
+      ref.solve(dnet.net(), dsts[c], origin);
+      fold();
+      ref.update(masks);
+      fold();
+    });
+  }
+
+  // --- stats -------------------------------------------------------------------
 
   void begin_stats(bool cold, std::size_t changed_arcs) {
     stats = RibStats{};
@@ -942,63 +806,6 @@ struct RibSolver::Impl {
     reg.histogram("dyn.rib.affected_pct")
         .record(static_cast<std::uint64_t>(stats.affected_mean_fraction() *
                                            100.0));
-  }
-
-  /// The standalone journal_delta(), once per table (not per column): the
-  /// RIB emits aggregate flight-recorder records on its own stream; per-node
-  /// provenance stays with the single-destination solvers.
-  void journal_delta(const TopologyDelta& delta, const DynNet::Applied& ap) {
-    if (!obs::journal_enabled()) return;
-    obs::jrecord(Subsystem::Dyn, EventKind::UpdateBegin, jstream, -1, -1,
-                 static_cast<std::int64_t>(delta.ops.size()), dnet.version());
-    for (int id : ap.changed_arcs) {
-      const bool relabeled = std::binary_search(ap.relabeled_arcs.begin(),
-                                                ap.relabeled_arcs.end(), id);
-      obs::jrecord(Subsystem::Dyn,
-                   relabeled ? EventKind::DeltaRelabel : EventKind::DeltaArc,
-                   jstream, dnet.graph().arc(id).src, id,
-                   dnet.arc_alive(id) ? 1 : 0, dnet.version());
-    }
-    for (int v : ap.nodes_down) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeDown, jstream, v, -1,
-                   0, dnet.version());
-    }
-    for (int v : ap.nodes_up) {
-      obs::jrecord(Subsystem::Dyn, EventKind::DeltaNodeUp, jstream, v, -1, 0,
-                   dnet.version());
-    }
-  }
-
-  // --- demotion ---------------------------------------------------------------
-
-  /// A relabel pushed the network off the compiled path (a label outside the
-  /// family's range): materialize every flat lane into boxed storage — the
-  /// stored words decode losslessly, so not a byte of the table changes —
-  /// and continue on the per-lane fallback.
-  void demote_to_boxed() {
-    const compile::CompiledAlgebra& ca = cnet.algebra();
-    const int n = dnet.num_nodes();
-    for (Block& blk : blocks) {
-      const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
-      blk.bw.assign(static_cast<std::size_t>(blk.cols),
-                    std::vector<std::optional<Value>>(
-                        static_cast<std::size_t>(n)));
-      for (int v = 0; v < n; ++v) {
-        const std::uint8_t p = blk.present[static_cast<std::size_t>(v)];
-        for (unsigned mm = p; mm != 0; mm &= mm - 1) {
-          const int l = ctz8(mm);
-          blk.bw[static_cast<std::size_t>(l)][static_cast<std::size_t>(v)] =
-              ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
-                        static_cast<std::size_t>(l) * stride);
-        }
-      }
-      blk.w.clear();
-      blk.w.shrink_to_fit();
-      blk.present.clear();
-      blk.present.shrink_to_fit();
-    }
-    flat = false;
-    if (obs::enabled()) obs::counter("dyn.rib.flat_demotions").add(1);
   }
 
   // --- binding / top level -----------------------------------------------------
@@ -1030,29 +837,29 @@ struct RibSolver::Impl {
           .add(static_cast<std::uint64_t>(dsts.size()));
     }
 
-    const int n = dnet.num_nodes();
-    bwidth = opts.block;
     const int total = columns();
+    col_conv.assign(static_cast<std::size_t>(total), 0);
     blocks.clear();
-    for (int base = 0; base < total; base += bwidth) {
+    refs.clear();
+    if (!flat) {
+      cnet = compile::CompiledNet();
+      make_refs();
+      return;
+    }
+    const int n = dnet.num_nodes();
+    for (int base = 0; base < total; base += kBlockCols) {
       Block blk;
       blk.base = base;
-      blk.cols = std::min(bwidth, total - base);
+      blk.cols = std::min(kBlockCols, total - base);
       const std::size_t ncols = static_cast<std::size_t>(blk.cols);
       blk.next.assign(static_cast<std::size_t>(n) * ncols, -1);
       for (int l = 0; l < blk.cols; ++l) {
         blk.dest[l] = dsts[static_cast<std::size_t>(base + l)];
       }
-      if (flat) {
-        blk.w.assign(static_cast<std::size_t>(n) * ncols * stride, 0);
-        blk.present.assign(static_cast<std::size_t>(n), 0);
-      } else {
-        blk.bw.assign(ncols, std::vector<std::optional<Value>>(
-                                 static_cast<std::size_t>(n)));
-      }
+      blk.w.assign(static_cast<std::size_t>(n) * ncols * stride, 0);
+      blk.present.assign(static_cast<std::size_t>(n), 0);
       blocks.push_back(std::move(blk));
     }
-    col_conv.assign(static_cast<std::size_t>(total), 0);
     rcache.assign(static_cast<std::size_t>(total), Routing{});
     rvalid.assign(static_cast<std::size_t>(total), 0);
     refresh_alive();
@@ -1070,7 +877,14 @@ struct RibSolver::Impl {
     obs::jrecord(Subsystem::Dyn, EventKind::SolveBegin, jstream, -1, -1,
                  static_cast<std::int64_t>(columns()), dnet.version());
     begin_stats(/*cold=*/true, 0);
-    run_all_blocks(nullptr, /*cold_all=*/true);
+    if (flat) {
+      run_all_blocks(nullptr, /*cold_all=*/true);
+    } else {
+      run_refs([&](Solver& ref, std::size_t c, const auto& fold) {
+        ref.solve(dnet.net(), dsts[c], origin);
+        fold();
+      });
+    }
     finish_stats();
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
                  -stats.affected_total(), dnet.version());
@@ -1083,21 +897,28 @@ struct RibSolver::Impl {
         obs::registry().histogram("dyn.rib.update_ns");
     obs::ScopedTimer timer(update_ns);
     const DynNet::Applied ap = dnet.apply(delta);
-    journal_delta(delta, ap);
-    // Delta-aware re-encoding, as in the standalone engines; if a relabel
-    // pushes the network off the compiled path, the table demotes to boxed.
-    if (weng != nullptr) {
-      for (int id : ap.relabeled_arcs) cnet.relabel(id, dnet.label(id));
-      if (flat && !cnet.ok()) demote_to_boxed();
-    }
+    dyn::journal_delta(jstream, delta, ap, dnet);
     begin_stats(/*cold=*/false, ap.changed_arcs.size());
-    if (!ap.any()) {
-      finish_stats();
-      return;
+    if (flat) {
+      // Delta-aware re-encoding, as in the standalone engines; a relabel
+      // that pushes the network off the compiled path demotes the table.
+      for (int id : ap.relabeled_arcs) cnet.relabel(id, dnet.label(id));
+      if (!cnet.ok()) {
+        demote();
+      } else if (ap.any()) {
+        refresh_alive();
+        run_all_blocks(&ap, /*cold_all=*/!dyn::enabled());
+      }
+    } else {
+      // Every delta reaches every reference column, no-op ones included: a
+      // relabel of a dead arc must be in place when the arc comes back.
+      run_refs([&](Solver& ref, std::size_t, const auto& fold) {
+        ref.update(delta);
+        fold();
+      });
     }
-    refresh_alive();
-    run_all_blocks(&ap, /*cold_all=*/!dyn::enabled());
     finish_stats();
+    if (!ap.any()) return;
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
                  stats.cold ? -stats.affected_total()
                             : stats.affected_total(),
@@ -1106,39 +927,27 @@ struct RibSolver::Impl {
 
   const Routing& routing(int c) const {
     MRT_REQUIRE(bound && c >= 0 && c < columns());
+    if (!flat) return refs[static_cast<std::size_t>(c)]->routing();
     if (!rvalid[static_cast<std::size_t>(c)]) {
-      const Block& blk = blocks[static_cast<std::size_t>(c / bwidth)];
-      const int l = c % bwidth;
+      const Block& blk = blocks[static_cast<std::size_t>(c / kBlockCols)];
+      const int l = c % kBlockCols;
       const int n = dnet.num_nodes();
       Routing& r = rcache[static_cast<std::size_t>(c)];
       r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
       r.next_arc.assign(static_cast<std::size_t>(n), -1);
-      if (flat) {
-        const compile::CompiledAlgebra& ca = cnet.algebra();
-        const std::size_t rowlen =
-            static_cast<std::size_t>(blk.cols) * stride;
-        const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-        for (int v = 0; v < n; ++v) {
-          if ((blk.present[static_cast<std::size_t>(v)] & bit) != 0) {
-            r.weight[static_cast<std::size_t>(v)] =
-                ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
-                          static_cast<std::size_t>(l) * stride);
-          }
-          r.next_arc[static_cast<std::size_t>(v)] =
-              blk.next[static_cast<std::size_t>(v) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)];
-        }
-      } else {
-        const auto& wcol = blk.bw[static_cast<std::size_t>(l)];
-        for (int v = 0; v < n; ++v) {
+      const compile::CompiledAlgebra& ca = cnet.algebra();
+      const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
+      const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
+      for (int v = 0; v < n; ++v) {
+        if ((blk.present[static_cast<std::size_t>(v)] & bit) != 0) {
           r.weight[static_cast<std::size_t>(v)] =
-              wcol[static_cast<std::size_t>(v)];
-          r.next_arc[static_cast<std::size_t>(v)] =
-              blk.next[static_cast<std::size_t>(v) *
-                           static_cast<std::size_t>(blk.cols) +
-                       static_cast<std::size_t>(l)];
+              ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
+                        static_cast<std::size_t>(l) * stride);
         }
+        r.next_arc[static_cast<std::size_t>(v)] =
+            blk.next[static_cast<std::size_t>(v) *
+                         static_cast<std::size_t>(blk.cols) +
+                     static_cast<std::size_t>(l)];
       }
       rvalid[static_cast<std::size_t>(c)] = 1;
     }
@@ -1147,8 +956,8 @@ struct RibSolver::Impl {
 };
 
 RibSolver::RibSolver(const OrderTransform& alg,
-                     const compile::WeightEngine* engine, RibOptions opts)
-    : impl_(std::make_unique<Impl>(alg, engine, opts)) {}
+                     const compile::WeightEngine* engine)
+    : impl_(std::make_unique<Impl>(alg, engine)) {}
 
 RibSolver::~RibSolver() = default;
 

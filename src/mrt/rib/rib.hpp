@@ -14,16 +14,21 @@
 //
 // so one worklist pass over the CSR adjacency relaxes every column of a
 // block per arc visit, running the fused label program through
-// CompiledAlgebra::apply_block (one opcode decode for the whole block).
-// Without a compiled engine the solver falls back to boxed per-column loops
-// over the same shared topology state — byte-identical, just unbatched.
+// CompiledAlgebra::select_block (one opcode decode for the whole block).
+// A table that does not compile — no engine, MRT_COMPILE=0, or an algebra or
+// label the compiler rejects, at bind time or after a relabel delta — holds
+// one reference column per destination instead: a standalone
+// dyn::Solver(EngineKind::Bellman), the engine the flat columns are
+// byte-compared against. The flat kernels are the only relaxation engine
+// the RIB itself implements.
 //
 // The dynamic seams thread straight through: warm updates take a
 // dyn::TopologyDelta, refresh one shared alive-mask, run one transitive
 // witness-invalidation pass over the whole block (per-column kill masks),
-// and re-relax each column from its own seed frontier; mrt::par chunks the
-// destination blocks across workers under the bit-identical-at-any-
-// thread-count contract (blocks are disjoint state, merged in index order).
+// and re-relax each column from its own seed frontier; mrt::par spreads the
+// destination blocks (or the reference columns) across workers under the
+// bit-identical-at-any-thread-count contract (disjoint state, merged in
+// index order).
 //
 // The correctness contract is differential: every column — cold, and after
 // any delta sequence — is byte-identical to a standalone
@@ -84,12 +89,6 @@ struct RibStats {
   }
 };
 
-struct RibOptions {
-  int block = kBlockCols;  ///< columns per block, clamped to [1, kBlockCols]
-  int max_rounds = 1000;   ///< per-column worklist cap; matches the dyn
-                           ///< Bellman engine (and BellmanOptions)
-};
-
 /// Batched multi-destination solver. solve() binds (net, dests, origin) and
 /// computes every column cold; update() applies a TopologyDelta and warm-
 /// maintains all columns at once. routing(c) materializes column c as an
@@ -98,10 +97,10 @@ class RibSolver {
  public:
   /// `engine` (optional, non-owning, must outlive the solver) routes the
   /// batched sweep through the compiled flat kernels; without it — or when
-  /// the algebra does not compile — every column runs the boxed fallback.
+  /// the algebra or a label does not compile — every column is a reference
+  /// dyn::Solver(EngineKind::Bellman).
   explicit RibSolver(const OrderTransform& alg,
-                     const compile::WeightEngine* engine = nullptr,
-                     RibOptions opts = RibOptions{});
+                     const compile::WeightEngine* engine = nullptr);
   ~RibSolver();
   RibSolver(const RibSolver&) = delete;
   RibSolver& operator=(const RibSolver&) = delete;
@@ -115,7 +114,10 @@ class RibSolver {
 
   /// Applies `delta` to the bound topology and recomputes every column
   /// incrementally (cold when dyn::enabled() is false or a column's previous
-  /// pass did not converge). Requires a prior solve().
+  /// pass did not converge, and for every column when a relabel takes a flat
+  /// table off the compiled path). Requires a prior solve(). A delta with an
+  /// out-of-range arc or node id throws std::logic_error and leaves the
+  /// table untouched.
   void update(const dyn::TopologyDelta& delta);
 
   /// Drains `s`, applying every delta batch through update() in order —
@@ -138,7 +140,8 @@ class RibSolver {
   const dyn::DynNet& net() const;
   std::uint32_t journal_stream() const;
   /// True when the batched flat kernels are active (compiled engine present,
-  /// algebra + all labels compiled, origin encodable).
+  /// algebra + all labels compiled, origin encodable). A relabel that leaves
+  /// the compiled range turns it false for the rest of the binding.
   bool batched_flat() const;
 
  private:

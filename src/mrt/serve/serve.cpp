@@ -27,9 +27,8 @@ obs::Histogram& update_hist() {
 
 }  // namespace
 
-Daemon::Daemon(const OrderTransform& alg, const compile::WeightEngine* engine,
-               ServeOptions opts)
-    : rib_(alg, engine, opts.rib), opts_(opts) {
+Daemon::Daemon(const OrderTransform& alg, const compile::WeightEngine* engine)
+    : rib_(alg, engine) {
   // Touch the serve.* metrics so exporter presence does not depend on
   // whether any delta ever arrives.
   deltas_counter();
@@ -83,44 +82,42 @@ std::size_t Daemon::apply(const dyn::TopologyDelta& delta,
   if (obs::enabled()) deltas_counter().add(1);
 
   std::size_t changes = 0;
-  if (opts_.emit_route_changes) {
-    const int cols = rib_.num_columns();
-    const int n = rib_.net().num_nodes();
-    for (int c = 0; c < cols; ++c) {
-      const Routing& r = rib_.routing(c);
-      const std::size_t base =
-          static_cast<std::size_t>(c) * static_cast<std::size_t>(n);
-      for (int v = 0; v < n; ++v) {
-        const std::size_t vi = static_cast<std::size_t>(v);
-        const bool had = shadow_has_[base + vi] != 0;
-        const bool has = r.weight[vi].has_value();
-        const bool same =
-            had == has &&
-            (!has || (shadow_arc_[base + vi] == r.next_arc[vi] &&
-                      *shadow_weight_[base + vi] == *r.weight[vi]));
-        if (same) continue;
-        ++changes;
-        if (!has) ++stats_.withdrawals;
-        if (sink) {
-          RouteChange ev;
-          ev.update_index = update_index_;
-          ev.column = c;
-          ev.dest = rib_.dests()[static_cast<std::size_t>(c)];
-          ev.node = v;
-          ev.had_route = had;
-          ev.has_route = has;
-          ev.next_arc = has ? r.next_arc[vi] : -1;
-          sink(ev);
-        }
-        shadow_has_[base + vi] = has ? 1 : 0;
-        shadow_arc_[base + vi] = r.next_arc[vi];
-        shadow_weight_[base + vi] = r.weight[vi];
+  const int cols = rib_.num_columns();
+  const int n = rib_.net().num_nodes();
+  for (int c = 0; c < cols; ++c) {
+    const Routing& r = rib_.routing(c);
+    const std::size_t base =
+        static_cast<std::size_t>(c) * static_cast<std::size_t>(n);
+    for (int v = 0; v < n; ++v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      const bool had = shadow_has_[base + vi] != 0;
+      const bool has = r.weight[vi].has_value();
+      const bool same =
+          had == has &&
+          (!has || (shadow_arc_[base + vi] == r.next_arc[vi] &&
+                    *shadow_weight_[base + vi] == *r.weight[vi]));
+      if (same) continue;
+      ++changes;
+      if (!has) ++stats_.withdrawals;
+      if (sink) {
+        RouteChange ev;
+        ev.update_index = update_index_;
+        ev.column = c;
+        ev.dest = rib_.dests()[static_cast<std::size_t>(c)];
+        ev.node = v;
+        ev.had_route = had;
+        ev.has_route = has;
+        ev.next_arc = has ? r.next_arc[vi] : -1;
+        sink(ev);
       }
+      shadow_has_[base + vi] = has ? 1 : 0;
+      shadow_arc_[base + vi] = r.next_arc[vi];
+      shadow_weight_[base + vi] = r.weight[vi];
     }
-    stats_.route_changes += changes;
-    if (obs::enabled() && changes > 0) {
-      changes_counter().add(static_cast<std::uint64_t>(changes));
-    }
+  }
+  stats_.route_changes += changes;
+  if (obs::enabled() && changes > 0) {
+    changes_counter().add(static_cast<std::uint64_t>(changes));
   }
   ++update_index_;
   return changes;

@@ -50,20 +50,12 @@ struct ServeStats {
   std::uint64_t decode_errors = 0;  ///< streams terminated by a bad frame
 };
 
-struct ServeOptions {
-  rib::RibOptions rib;  ///< forwarded to the underlying RibSolver
-  /// Diff columns and emit RouteChange events after each update. Off, the
-  /// daemon skips the O(columns × |V|) shadow comparison per delta.
-  bool emit_route_changes = true;
-};
-
 class Daemon {
  public:
   /// `engine` (optional, non-owning, must outlive the daemon) routes the
   /// table through the compiled flat kernels, exactly as for RibSolver.
   explicit Daemon(const OrderTransform& alg,
-                  const compile::WeightEngine* engine = nullptr,
-                  ServeOptions opts = ServeOptions{});
+                  const compile::WeightEngine* engine = nullptr);
 
   /// Cold bind: one full solve of every destination column. May be called
   /// again to rebind (stats and shadow state reset).
@@ -72,8 +64,10 @@ class Daemon {
 
   using ChangeSink = std::function<void(const RouteChange&)>;
 
-  /// Applies one delta batch warm and reports the route transitions it
-  /// caused to `sink` (if set). Returns the number of route changes.
+  /// Applies one delta batch warm, diffs every column against the shadow of
+  /// the previous state, and reports the route transitions it caused to
+  /// `sink` (if set). Returns the number of route changes. A batch the
+  /// table rejects (an out-of-range id) throws and changes nothing.
   std::size_t apply(const dyn::TopologyDelta& delta,
                     const ChangeSink& sink = {});
 
@@ -90,7 +84,6 @@ class Daemon {
   void snapshot_shadow();
 
   rib::RibSolver rib_;
-  ServeOptions opts_;
   ServeStats stats_;
   bool started_ = false;
   std::uint64_t update_index_ = 0;

@@ -132,6 +132,37 @@ TEST(DynNet, ToStateReproducesMasks) {
   }
 }
 
+// A batch is checked whole before any op applies: a bad id anywhere in it —
+// after valid ops that would already have mutated the net — throws and
+// leaves version, masks and labels exactly as they were.
+TEST(DynNet, RejectedBatchMutatesNothing) {
+  dyn::DynNet net(diamond());
+  net.apply(TopologyDelta{}.arc_down(4));
+  const std::uint64_t v0 = net.version();
+  const std::vector<TopologyDelta> bad = {
+      TopologyDelta{}.arc_down(0).node_down(4 + 7),
+      TopologyDelta{}.relabel(1, I(9)).node_up(2).arc_up(5),
+      TopologyDelta{}.node_down(1).arc_up(4).relabel(-1, I(2)),
+      TopologyDelta{}.arc_up(4).node_up(-3),
+  };
+  for (const TopologyDelta& d : bad) {
+    EXPECT_THROW(net.apply(d), std::logic_error) << d.describe();
+    EXPECT_EQ(net.version(), v0) << d.describe();
+    for (int a = 0; a < 5; ++a) {
+      EXPECT_EQ(net.arc_admin_up(a), a != 4) << d.describe() << " arc " << a;
+      EXPECT_EQ(net.label(a), diamond().label(a)) << d.describe() << " arc " << a;
+    }
+    for (int v = 0; v < 4; ++v) {
+      EXPECT_TRUE(net.node_up(v)) << d.describe() << " node " << v;
+    }
+  }
+  // The next good batch sees the untouched state: arc 0 is still up, so
+  // downing it is a real change.
+  const auto ap = net.apply(TopologyDelta{}.arc_down(0));
+  EXPECT_EQ(ap.changed_arcs, (std::vector<int>{0}));
+  EXPECT_EQ(net.version(), v0 + 1);
+}
+
 class SolverSeam : public ::testing::TestWithParam<dyn::EngineKind> {};
 
 TEST_P(SolverSeam, ColdSolveMatchesExpectedDiamond) {

@@ -6,7 +6,7 @@
 // and across every A/B axis the batched solver owns:
 //
 //   MRT_COMPILE — WeightEngine present (flat blocked kernels) vs absent
-//                 (boxed per-column fallback), via in-process toggles;
+//                 (reference dyn::Solver columns), via in-process toggles;
 //   MRT_DYN     — dyn::set_enabled(false) forces cold re-solves;
 //   MRT_THREADS — par::set_thread_limit, the bit-identical-at-any-
 //                 thread-count contract over destination blocks;
@@ -29,6 +29,7 @@
 #include "mrt/core/combinators.hpp"
 #include "mrt/dyn/solver.hpp"
 #include "mrt/graph/generators.hpp"
+#include "mrt/obs/obs.hpp"
 #include "mrt/par/par.hpp"
 #include "mrt/rib/rib.hpp"
 
@@ -168,6 +169,25 @@ void expect_identical(const Routing& a, const Routing& b,
   }
 }
 
+/// The RIB's work accounting equals its references', column by column: the
+/// per-column affected counts, the summed relaxations, and the number of
+/// columns that went cold.
+void expect_same_accounting(const rib::RibStats& st,
+                            const std::vector<std::unique_ptr<Solver>>& ref,
+                            const std::string& what) {
+  ASSERT_EQ(st.affected.size(), ref.size()) << what;
+  std::uint64_t relaxations = 0;
+  int cold = 0;
+  for (std::size_t c = 0; c < ref.size(); ++c) {
+    const dyn::UpdateStats& rs = ref[c]->last_update();
+    EXPECT_EQ(st.affected[c], rs.affected) << what << " col " << c;
+    relaxations += rs.relaxations;
+    if (rs.cold) ++cold;
+  }
+  EXPECT_EQ(st.relaxations, relaxations) << what;
+  EXPECT_EQ(st.cold_columns, cold) << what;
+}
+
 /// Scoped toggles: restores dyn::enabled, the par thread limit, and the
 /// SIMD kernel toggle on exit so one trial's A/B setting never leaks into
 /// the next.
@@ -189,7 +209,8 @@ struct ScopedToggles {
 
 // The headline differential: sweeping the full toggle cube, every RIB
 // column must match a standalone Bellman dyn::Solver byte for byte on the
-// cold solve and after every one of ≥500 random delta batches.
+// cold solve and after every one of ≥500 random delta batches — and so
+// must the work accounting (affected sets, relaxations, cold columns).
 TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
   constexpr int kTrials = 64;
   constexpr int kBatches = 8;  // 64 × 8 = 512 delta batches
@@ -231,6 +252,7 @@ TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
     }
     ASSERT_TRUE(rib.last_update().cold) << inst.desc;
     ASSERT_EQ(rib.num_columns(), n);
+    expect_same_accounting(rib.last_update(), ref, inst.desc + " cold");
 
     for (int b = 0; b < kBatches; ++b) {
       const TopologyDelta d = random_delta(rng, inst);
@@ -251,6 +273,9 @@ TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
                          inst.desc + " batch " + std::to_string(b) + " col " +
                              std::to_string(c) + " " + d.describe());
       }
+      expect_same_accounting(rib.last_update(), ref,
+                             inst.desc + " batch " + std::to_string(b) + " " +
+                                 d.describe());
     }
   }
   // The sweep must genuinely exercise the incremental path, the flat
@@ -259,6 +284,70 @@ TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
   EXPECT_GT(warm_batches, 100) << "batched incremental path barely exercised";
   EXPECT_GT(flat_trials, 20) << "flat blocked kernels barely exercised";
   EXPECT_GT(vec_trials, 5) << "vertical SIMD kernels barely exercised";
+}
+
+// A relabel outside the compiled range demotes a flat table to reference
+// columns mid-stream. The boxed chain-add family accepts I(1000) (it
+// saturates at n), but the compiler rejects a chain-add label above n, so
+// one batch per trial carries that relabel. Every converged column matches
+// a standalone Bellman solver before, at and after the switch; the switch
+// is counted, and the demoting update reports the cold work it does.
+TEST(RibDifferential, DemotionToReferenceColumnsKeepsEveryByte) {
+  constexpr int kTrials = 24;
+  constexpr int kBatches = 10;
+  const bool obs_before = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& demotions =
+      obs::registry().counter("dyn.rib.flat_demotions");
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Rng rng(par::mix_seed(0x51B9, static_cast<std::uint64_t>(trial)));
+    RibInstance inst = sat_plus_instance(rng);
+    inst.desc += " trial " + std::to_string(trial);
+    ScopedToggles toggles(/*dyn_on=*/true, (trial % 3 == 0) ? 4 : 1,
+                          /*simd_on=*/true);
+    const compile::WeightEngine eng(inst.ot);
+    const int n = inst.net.num_nodes();
+    rib::RibSolver rib(inst.ot, &eng);
+    rib.solve_all(inst.net, I(0));
+    ASSERT_TRUE(rib.batched_flat()) << inst.desc;
+
+    std::vector<std::unique_ptr<Solver>> ref;
+    for (int d = 0; d < n; ++d) {
+      ref.push_back(dyn::make_solver(dyn::EngineKind::Bellman, inst.ot));
+      ref.back()->solve(inst.net, d, I(0));
+    }
+    const int demote_at = 1 + static_cast<int>(rng.below(kBatches - 2));
+    for (int b = 0; b < kBatches; ++b) {
+      TopologyDelta d = random_delta(rng, inst);
+      if (b == demote_at) {
+        d.relabel(static_cast<int>(rng.below(static_cast<std::uint64_t>(
+                      inst.net.graph().num_arcs()))),
+                  I(1000));
+      }
+      const std::string what =
+          inst.desc + " batch " + std::to_string(b) + " " + d.describe();
+      const std::uint64_t before = demotions.value();
+      rib.update(d);
+      EXPECT_EQ(rib.batched_flat(), b < demote_at) << what;
+      EXPECT_EQ(demotions.value(), before + (b == demote_at ? 1 : 0)) << what;
+      if (b == demote_at) {
+        EXPECT_TRUE(rib.last_update().cold) << what;
+        EXPECT_EQ(rib.last_update().cold_columns, n) << what;
+        EXPECT_EQ(rib.last_update().affected, std::vector<int>(n, n)) << what;
+      }
+      for (int c = 0; c < n; ++c) {
+        ref[static_cast<std::size_t>(c)]->update(d);
+        ASSERT_EQ(rib.column_converged(c),
+                  ref[static_cast<std::size_t>(c)]->converged())
+            << what << " col " << c;
+        if (!rib.column_converged(c)) continue;
+        expect_identical(rib.routing(c),
+                         ref[static_cast<std::size_t>(c)]->routing(),
+                         what + " col " + std::to_string(c));
+      }
+    }
+  }
+  obs::set_enabled(obs_before);
 }
 
 // The mrt::par contract, verified bit-for-bit: the same instance and delta
@@ -413,7 +502,7 @@ TEST(Rib, SolveBindsAndMaterializesColumns) {
   EXPECT_EQ(st.affected_max(), n);
   EXPECT_DOUBLE_EQ(st.affected_mean_fraction(), 1.0);
 
-  // Without an engine the boxed fallback serves the same bytes.
+  // Without an engine the reference columns serve the same bytes.
   rib::RibSolver boxed(inst.ot);
   boxed.solve(inst.net, dests, I(0));
   EXPECT_FALSE(boxed.batched_flat());

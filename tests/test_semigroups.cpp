@@ -94,6 +94,10 @@ struct SgLawCase {
   Tri assoc, comm, idem, selective;
 };
 
+// Print the case by name: gtest's default byte dump would embed the name
+// and algebra pointers, so test names would change with every run.
+void PrintTo(const SgLawCase& c, std::ostream* os) { *os << c.name; }
+
 class SemigroupLaws : public ::testing::TestWithParam<SgLawCase> {};
 
 TEST_P(SemigroupLaws, CheckerAgrees) {

@@ -10,7 +10,11 @@
 //                 serve.update_ns are present in write_json and the
 //                 OpenMetrics exposition after one apply.
 //   resilience  — a missing replay file or a corrupt frame terminates the
-//                 drain gracefully (decode_errors bumped, error() set).
+//                 drain gracefully (decode_errors bumped, error() set); a
+//                 batch with an out-of-range id is rejected whole, leaving
+//                 every table exactly as it was.
+//   demotion    — a relabel that takes a flat table off the compiled path
+//                 is a cold update, and the daemon counts it as one.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -183,6 +187,119 @@ TEST(Serve, MetricsPresentInJsonAndOpenMetrics) {
   // The histogram actually observed the update.
   EXPECT_GE(obs::registry().histogram("serve.update_ns").count(), 1u);
   obs::set_enabled(was_enabled);
+}
+
+// The bad batch downs a witness arc and then names a node that does not
+// exist. It must throw before the arc goes down anywhere: the next good
+// batch (downing that same arc) then lands exactly where it does on a twin
+// that never saw the bad one — flat table, reference-column table and
+// daemon alike.
+TEST(Serve, RejectedBatchLeavesEveryTableUntouched) {
+  Rng rng(0x5E13);
+  const Scenario sc = gao_rexford_hierarchy(rng, 32, 16);
+  const compile::WeightEngine eng(sc.alg);
+  const int n = sc.net.num_nodes();
+  std::vector<int> dests;
+  for (int v = 0; v < n; v += 3) dests.push_back(v);
+
+  rib::RibSolver flat(sc.alg, &eng);
+  rib::RibSolver flat_twin(sc.alg, &eng);
+  rib::RibSolver ref(sc.alg);
+  rib::RibSolver ref_twin(sc.alg);
+  for (rib::RibSolver* r : {&flat, &flat_twin, &ref, &ref_twin}) {
+    r->solve(sc.net, dests, sc.origin);
+  }
+  serve::Daemon daemon(sc.alg, &eng);
+  serve::Daemon daemon_twin(sc.alg, &eng);
+  daemon.start(sc.net, dests, sc.origin);
+  daemon_twin.start(sc.net, dests, sc.origin);
+  ASSERT_TRUE(flat.batched_flat());
+  ASSERT_FALSE(ref.batched_flat());
+
+  int w = -1;  // an arc some route of column 0 forwards over
+  for (int v = 0; v < n && w < 0; ++v) w = flat.routing(0).next_arc[v];
+  ASSERT_GE(w, 0);
+  const TopologyDelta bad = TopologyDelta{}.arc_down(w).node_down(n + 7);
+  const TopologyDelta good = TopologyDelta{}.arc_down(w);
+
+  EXPECT_THROW(flat.update(bad), std::logic_error);
+  EXPECT_THROW(ref.update(bad), std::logic_error);
+  EXPECT_THROW(daemon.apply(bad), std::logic_error);
+  const std::vector<const rib::RibSolver*> rejected = {&flat, &ref,
+                                                       &daemon.rib()};
+  for (const rib::RibSolver* r : rejected) {
+    EXPECT_EQ(r->net().version(), flat_twin.net().version());
+    EXPECT_TRUE(r->net().arc_alive(w));
+  }
+  EXPECT_EQ(daemon.stats().deltas_consumed, 0u);
+
+  for (rib::RibSolver* r : {&flat, &flat_twin, &ref, &ref_twin}) {
+    r->update(good);
+  }
+  const std::size_t changes = daemon.apply(good);
+  EXPECT_GT(changes, 0u);
+  EXPECT_EQ(changes, daemon_twin.apply(good));
+  EXPECT_EQ(daemon.stats().route_changes, daemon_twin.stats().route_changes);
+
+  const auto same_table = [](const rib::RibSolver& a, const rib::RibSolver& b,
+                             const std::string& what) {
+    ASSERT_EQ(a.net().version(), b.net().version()) << what;
+    ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+    for (int c = 0; c < a.num_columns(); ++c) {
+      expect_identical(a.routing(c), b.routing(c),
+                       what + " col " + std::to_string(c));
+    }
+  };
+  same_table(flat, flat_twin, "flat");
+  same_table(ref, ref_twin, "reference");
+  same_table(daemon.rib(), daemon_twin.rib(), "daemon");
+  same_table(flat, ref, "flat vs reference");
+}
+
+// A relabel the compiler rejects (a chain-add label above n) moves a flat
+// table to reference columns. That update re-solves every column, so it is
+// reported cold and the daemon counts it among its cold updates; the route
+// changes it causes are diffed as for any other update.
+TEST(Serve, DemotionCountsAsColdUpdate) {
+  // Line 0 <- 1 <- 2 over saturating +c on {0..8}.
+  Digraph g(3);
+  const int a10 = g.add_arc(1, 0);
+  const int a21 = g.add_arc(2, 1);
+  const int top = 8;
+  OrderTransform ot{"chain(<=,sat+)", ord_chain(top),
+                    fam_chain_add(top, 1, 1), {}};
+  LabeledGraph net(std::move(g), {I(1), I(1)});
+  const compile::WeightEngine eng(ot);
+
+  serve::Daemon daemon(ot, &eng);
+  daemon.start(net, {0, 1, 2}, I(0));
+  ASSERT_TRUE(daemon.rib().batched_flat());
+
+  std::vector<serve::RouteChange> events;
+  const auto sink = [&events](const serve::RouteChange& ev) {
+    events.push_back(ev);
+  };
+  // Node 2's routes to 0 and to 1 both saturate at the top weight.
+  EXPECT_EQ(daemon.apply(TopologyDelta{}.relabel(a21, I(1000)), sink), 2u);
+  EXPECT_FALSE(daemon.rib().batched_flat());
+  EXPECT_TRUE(daemon.rib().last_update().cold);
+  EXPECT_EQ(daemon.stats().cold_updates, 1u);
+  EXPECT_EQ(daemon.stats().warm_updates, 0u);
+  ASSERT_EQ(events.size(), 2u);
+  for (const serve::RouteChange& ev : events) {
+    EXPECT_EQ(ev.node, 2);
+    EXPECT_TRUE(ev.had_route);
+    EXPECT_TRUE(ev.has_route);
+    EXPECT_EQ(ev.next_arc, a21);
+  }
+  EXPECT_EQ(daemon.rib().routing(0).weight[2], I(top));
+  EXPECT_EQ(daemon.rib().routing(1).weight[2], I(top));
+
+  // The reference columns keep the table warm from here on.
+  events.clear();
+  EXPECT_EQ(daemon.apply(TopologyDelta{}.arc_down(a10), sink), 2u);
+  EXPECT_EQ(daemon.stats().warm_updates, 1u);
+  EXPECT_EQ(daemon.stats().cold_updates, 1u);
 }
 
 TEST(Serve, MissingFileAndCorruptStreamTerminateGracefully) {
