@@ -1,13 +1,13 @@
-// Records a Chrome trace-event file for one BAD-GADGET run — the canonical
+// Writes a Chrome trace-event file for one BAD-GADGET run — the canonical
 // divergent path-vector instance (Griffin–Shepherd–Wilfong; not ND, so
-// Theorem 5 permits endless oscillation). Open the output in
-// chrome://tracing or
-// https://ui.perfetto.dev:
-//   - "sim-time" process: advert/withdraw flights per arc, selection flips
-//     per node, link events, and the queue-depth counter track;
-//   - "wall-clock" process: reselect/advertise compute spans per node.
+// Theorem 5 permits endless oscillation). The run is journaled, and the
+// drained journal is rendered by obs::write_chrome_trace. Open the output in
+// chrome://tracing or https://ui.perfetto.dev: the "sim-time" process holds
+// advert/withdraw sends and deliveries per arc, selection flips per node,
+// and the queue-depth counter track.
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "mrt/obs/obs.hpp"
 #include "mrt/sim/scenario.hpp"
@@ -28,24 +28,17 @@ int main(int argc, char** argv) {
   }
 
   obs::set_enabled(true);
-  obs::TraceSession session;
-  session.install();
+  obs::set_journal_enabled(true);
+  obs::journal().reset();
 
   Scenario sc = bad_gadget();
-  for (int v = 0; v < sc.net.num_nodes(); ++v) {
-    session.name_thread(obs::TraceSession::kSimPid, v,
-                        "node " + std::to_string(v));
-    session.name_thread(obs::TraceSession::kWallPid, v,
-                        "node " + std::to_string(v));
-  }
-
   SimOptions opts;
   opts.seed = 7;
   opts.max_events = 2000;  // enough oscillation to see the cycle structure
   opts.drop_top_routes = true;
   PathVectorSim sim(sc.alg, sc.net, sc.dest, sc.origin, opts);
   const SimResult res = sim.run();
-  session.uninstall();
+  const std::vector<obs::JournalRecord> records = obs::journal().drain();
 
   std::cout << "BAD GADGET run: " << (res.converged ? "converged" : "diverged")
             << " after " << res.events << " deliveries ("
@@ -54,11 +47,18 @@ int main(int argc, char** argv) {
             << res.stats.selection_changes << " selection changes, queue "
             << "high-water " << res.stats.queue_high_water << ")\n";
 
-  if (!session.write_chrome_json_file(path)) {
+  // A full ring overwrote the oldest records: the trace would silently
+  // start mid-run.
+  if (obs::journal().dropped() != 0) {
+    std::cerr << "journal dropped " << obs::journal().dropped()
+              << " records; raise obs::journal().set_capacity\n";
+    return 1;
+  }
+  if (!obs::write_chrome_trace_file(path, records)) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
-  std::cout << "wrote " << session.size() << " trace events to " << path
+  std::cout << "wrote " << records.size() << " journal records to " << path
             << "\nload it in chrome://tracing or https://ui.perfetto.dev\n";
   return 0;
 }

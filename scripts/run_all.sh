@@ -33,7 +33,8 @@
 #          destination blocks are stolen across workers while the daemon
 #          diffs shadow state between them — then exit.
 #   --labels <regex> — only run ctest tests whose label matches (unit,
-#          property, chaos, adv, perf, serve); see tests/CMakeLists.txt.
+#          property, chaos, adv, perf, serve, example); see
+#          tests/CMakeLists.txt and examples/CMakeLists.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -177,9 +178,7 @@ if [ -n "$LABELS" ]; then
   exit 0
 fi
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+# The examples ran above as ctest tests (label `example`).
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] && "$b"
-done
-for ex in build/examples/*; do
-  [ -f "$ex" ] && [ -x "$ex" ] && "$ex" > /dev/null && echo "example ok: $ex"
 done

@@ -79,7 +79,6 @@ class EngineBase : public Solver {
   const Routing& solve(const LabeledGraph& net, int dest,
                        const Value& origin) override {
     MRT_REQUIRE(dest >= 0 && dest < net.num_nodes());
-    obs::ScopedSpan span("dyn.solve", "routing");
     static obs::Histogram& solve_ns = obs::registry().histogram("dyn.solve_ns");
     obs::ScopedTimer timer(solve_ns);
     dnet_ = DynNet(net);
@@ -110,7 +109,6 @@ class EngineBase : public Solver {
 
   const Routing& update(const TopologyDelta& delta) override {
     MRT_REQUIRE(bound_);
-    obs::ScopedSpan span("dyn.update", "routing");
     static obs::Histogram& update_ns =
         obs::registry().histogram("dyn.update_ns");
     obs::ScopedTimer timer(update_ns);
@@ -123,6 +121,8 @@ class EngineBase : public Solver {
     begin_stats(/*cold=*/false, ap.changed_arcs.size());
     if (!ap.any()) {
       finish_stats(/*is_update=*/true);
+      obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream_, -1, -1, 0,
+                   dnet_.version());
       return r_;
     }
     if (!dyn::enabled() || !converged_) {

@@ -94,6 +94,8 @@ const char* to_string(EventKind k) noexcept {
       return "resync";
     case EventKind::StaleDrop:
       return "stale_drop";
+    case EventKind::QueueDepth:
+      return "queue_depth";
     case EventKind::SchedReorder:
       return "sched_reorder";
     case EventKind::SchedStarve:

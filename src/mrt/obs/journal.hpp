@@ -69,8 +69,10 @@ enum class EventKind : std::uint8_t {
   RelaxWave,          ///< Bellman worklist round; aux = frontier size
   UpdateEnd,          ///< aux = affected nodes (negative when the pass ran cold)
   // mrt::sim — the path-vector protocol (sim_us carries virtual time).
-  MsgSend,     ///< advertisement enqueued; node = sender, arc = channel, aux = withdrawal
-  MsgDeliver,  ///< advertisement delivered; node = receiver, arc = channel, aux = withdrawal
+  // MsgSend / MsgDeliver: arc = channel, aux = 1 for a route, 0 for a
+  // withdrawal.
+  MsgSend,     ///< advertisement enqueued; node = sender
+  MsgDeliver,  ///< advertisement delivered; node = receiver
   MsgLoss,     ///< delivery lost; aux = 0 dead arc, 1 injected fault
   Reselect,    ///< selection changed; arc = new witness, aux = flap count
   LinkDown,
@@ -78,7 +80,8 @@ enum class EventKind : std::uint8_t {
   NodeCrash,
   NodeRestart,
   Resync,
-  StaleDrop,  ///< reordered delivery discarded as stale (latest send wins)
+  StaleDrop,   ///< reordered delivery discarded as stale (latest send wins)
+  QueueDepth,  ///< sampled every 64th delivery; aux = queued events
   // mrt::adv — adversarial schedule policies (sim_us carries virtual time).
   SchedReorder,  ///< a send overtook an earlier one on its arc
   SchedStarve,   ///< a best-route advertisement was priority-inverted

@@ -3,10 +3,10 @@
 // formats.
 #pragma once
 
+#include "mrt/obs/chrome_trace.hpp"
 #include "mrt/obs/journal.hpp"
 #include "mrt/obs/json.hpp"
 #include "mrt/obs/metrics.hpp"
-#include "mrt/obs/trace.hpp"
 
 namespace mrt::obs {
 

@@ -869,7 +869,6 @@ struct RibSolver::Impl {
   }
 
   void solve(const LabeledGraph& net, std::vector<int> ds, const Value& org) {
-    obs::ScopedSpan span("rib.solve", "routing");
     static obs::Histogram& solve_ns =
         obs::registry().histogram("dyn.rib.solve_ns");
     obs::ScopedTimer timer(solve_ns);
@@ -892,7 +891,6 @@ struct RibSolver::Impl {
 
   void update(const TopologyDelta& delta) {
     MRT_REQUIRE(bound);
-    obs::ScopedSpan span("rib.update", "routing");
     static obs::Histogram& update_ns =
         obs::registry().histogram("dyn.rib.update_ns");
     obs::ScopedTimer timer(update_ns);
@@ -918,7 +916,6 @@ struct RibSolver::Impl {
       });
     }
     finish_stats();
-    if (!ap.any()) return;
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
                  stats.cold ? -stats.affected_total()
                             : stats.affected_total(),

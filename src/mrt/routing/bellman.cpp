@@ -308,14 +308,11 @@ BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
     fr.init(n, static_cast<std::size_t>(ca.words()));
     for (std::size_t k = 0; k < fr.stride; ++k) fr.at(dest)[k] = origin_w[k];
     fr.present[static_cast<std::size_t>(dest)] = 1;
-    {
-      obs::ScopedSpan span("bellman_sync", "routing");
-      for (out.iterations = 0; out.iterations < opts.max_iterations;
-           ++out.iterations) {
-        if (!bellman_step_flat(net, dest, origin_w.data(), fr, opts, *cn)) {
-          out.converged = true;
-          break;
-        }
+    for (out.iterations = 0; out.iterations < opts.max_iterations;
+         ++out.iterations) {
+      if (!bellman_step_flat(net, dest, origin_w.data(), fr, opts, *cn)) {
+        out.converged = true;
+        break;
       }
     }
     out.routing = flat_to_routing(fr, ca);
@@ -323,7 +320,6 @@ BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
     out.routing.weight.assign(static_cast<std::size_t>(n), std::nullopt);
     out.routing.next_arc.assign(static_cast<std::size_t>(n), -1);
     out.routing.weight[static_cast<std::size_t>(dest)] = origin;
-    obs::ScopedSpan span("bellman_sync", "routing");
     for (out.iterations = 0; out.iterations < opts.max_iterations;
          ++out.iterations) {
       if (!bellman_step_boxed(alg, net, dest, origin, out.routing, opts)) {

@@ -116,7 +116,6 @@ ClosureResult kleene_closure_flat(const Bisemigroup& alg,
                                   FlatMatrix a) {
   const std::size_t n = a.n;
   const std::size_t stride = a.stride;
-  obs::ScopedSpan span("kleene_closure", "routing");
   std::atomic<std::uint64_t> product_steps{0};
   for (std::size_t k = 0; k < n; ++k) {
     const auto eliminate_rows = [&](std::size_t lo, std::size_t hi) {
@@ -205,7 +204,6 @@ ClosureResult iterative_closure_flat(const Bisemigroup& alg,
     for (std::size_t i = 0; i < n; ++i) star.set(i, i, idw);
   }
 
-  obs::ScopedSpan span("iterative_closure", "routing");
   std::atomic<std::uint64_t> product_steps{0};
   for (out.iterations = 0; out.iterations < opts.max_power;
        ++out.iterations) {
@@ -288,7 +286,6 @@ ClosureResult kleene_closure(const Bisemigroup& alg, WeightMatrix a,
     }
   }
 
-  obs::ScopedSpan span("kleene_closure", "routing");
   std::atomic<std::uint64_t> product_steps{0};
   // Elimination over intermediate nodes; for ⊕-idempotent, nondecreasing
   // algebras cycles never improve a walk, so a[k][k]* collapses away.
@@ -363,7 +360,6 @@ ClosureResult iterative_closure(const Bisemigroup& alg, const WeightMatrix& a,
   out.star = identity_matrix(alg, n);
   out.converged = false;
 
-  obs::ScopedSpan span("iterative_closure", "routing");
   std::atomic<std::uint64_t> product_steps{0};
   for (out.iterations = 0; out.iterations < opts.max_power;
        ++out.iterations) {

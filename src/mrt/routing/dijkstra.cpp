@@ -29,7 +29,6 @@ struct Counters {
 Routing dijkstra_boxed(const OrderTransform& alg, const LabeledGraph& net,
                        int dest, const Value& origin) {
   const int n = net.num_nodes();
-  obs::ScopedSpan span("dijkstra", "routing");
   Counters c;
   Routing r;
   r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
@@ -90,7 +89,6 @@ Routing dijkstra_flat(const LabeledGraph& net, int dest,
   const int n = net.num_nodes();
   const compile::CompiledAlgebra& ca = cn.algebra();
   const std::size_t stride = static_cast<std::size_t>(cn.words());
-  obs::ScopedSpan span("dijkstra", "routing");
   Counters c;
 
   std::vector<std::uint64_t> w(static_cast<std::size_t>(n) * stride, 0);

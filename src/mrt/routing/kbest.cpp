@@ -201,7 +201,6 @@ KBestResult kbest_bellman(const OrderTransform& alg, const LabeledGraph& net,
                           const compile::CompiledNet* cn) {
   const int n = net.num_nodes();
   MRT_REQUIRE(dest >= 0 && dest < n && k >= 1);
-  obs::ScopedSpan span("kbest_bellman", "routing");
   KBestCounters c;
   KBestResult out;
   bool flat = false;

@@ -125,12 +125,15 @@ std::size_t Daemon::apply(const dyn::TopologyDelta& delta,
 
 std::size_t Daemon::drain(stream::DeltaStream& s, const ChangeSink& sink) {
   MRT_REQUIRE(started_);
+  // A stream that failed in an earlier drain yields nothing and was
+  // counted then.
+  const bool failed_before = !s.error().empty();
   std::size_t n = 0;
   while (std::optional<dyn::TopologyDelta> d = s.next()) {
     apply(*d, sink);
     ++n;
   }
-  if (!s.error().empty()) ++stats_.decode_errors;
+  if (!failed_before && !s.error().empty()) ++stats_.decode_errors;
   return n;
 }
 

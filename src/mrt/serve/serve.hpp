@@ -47,7 +47,8 @@ struct ServeStats {
   std::uint64_t withdrawals = 0;    ///< route_changes that lost the route
   std::uint64_t warm_updates = 0;   ///< updates on the incremental path
   std::uint64_t cold_updates = 0;   ///< updates that fell back to cold
-  std::uint64_t decode_errors = 0;  ///< streams terminated by a bad frame
+  std::uint64_t decode_errors = 0;  ///< streams terminated by a bad frame,
+                                    ///< each counted once
 };
 
 class Daemon {
@@ -73,7 +74,9 @@ class Daemon {
 
   /// Drains `s` to exhaustion, one apply() per batch. Returns the number of
   /// batches consumed; a decode failure stops the drain at the last good
-  /// batch (stats().decode_errors is bumped, s.error() has the reason).
+  /// batch (s.error() has the reason). stats().decode_errors is bumped by
+  /// the drain in which s.error() first appears, so draining an already
+  /// failed stream again returns 0 and counts nothing.
   std::size_t drain(stream::DeltaStream& s, const ChangeSink& sink = {});
 
   const rib::RibSolver& rib() const { return rib_; }

@@ -137,8 +137,6 @@ void PathVectorSim::candidate_via_flat(int arc, compile::FlatMsg* out) const {
 // Sends `node`'s current selection to every in-neighbour, respecting per-arc
 // FIFO (a later message never overtakes an earlier one).
 void PathVectorSim::advertise(int node, double now) {
-  obs::ScopedSpan span("advertise", "sim", node);
-  obs::TraceSession* trace = obs::TraceSession::current();
   const bool withdrawal =
       flat_ ? !selected_flat_[static_cast<std::size_t>(node)].present
             : !selected_[static_cast<std::size_t>(node)];
@@ -190,13 +188,6 @@ void PathVectorSim::advertise(int node, double now) {
       obs::jrecord(obs::Subsystem::Sim, obs::EventKind::MsgSend, jstream_,
                    node, id, withdrawal ? 0 : 1, 0,
                    static_cast<std::uint64_t>(now * 1e6));
-      if (trace) {
-        // Message flight on the sim-time process: one row per arc.
-        trace->complete(withdrawal ? "withdraw" : "advert", "sim.msg",
-                        now * 1e6, (when - now) * 1e6,
-                        obs::TraceSession::kSimPid, id,
-                        {{"from", static_cast<std::int64_t>(node)}});
-      }
     }
   }
 }
@@ -204,7 +195,6 @@ void PathVectorSim::advertise(int node, double now) {
 void PathVectorSim::reselect(int node, double now) {
   if (node == dest_) return;  // the destination's route is pinned
   if (!node_up_[static_cast<std::size_t>(node)]) return;  // crashed
-  obs::ScopedSpan span("reselect", "sim", node);
   ++stats_.reselects;
   if (flat_) {
     reselect_flat(node, now);
@@ -263,11 +253,6 @@ void PathVectorSim::reselect_boxed(int node, double now) {
     obs::jrecord(obs::Subsystem::Sim, obs::EventKind::Reselect, jstream_,
                  node, best_arc, flaps_[static_cast<std::size_t>(node)], 0,
                  static_cast<std::uint64_t>(now * 1e6));
-    if (obs::TraceSession* trace = obs::TraceSession::current()) {
-      trace->instant("select", "sim.select", now * 1e6,
-                     obs::TraceSession::kSimPid, node,
-                     {{"weight", sel ? sel->to_string() : "-"}});
-    }
     if (weight_changed || path_changed) advertise(node, now);
   }
 }
@@ -328,13 +313,6 @@ void PathVectorSim::reselect_flat(int node, double now) {
     obs::jrecord(obs::Subsystem::Sim, obs::EventKind::Reselect, jstream_,
                  node, best_arc, flaps_[static_cast<std::size_t>(node)], 0,
                  static_cast<std::uint64_t>(now * 1e6));
-    if (obs::TraceSession* trace = obs::TraceSession::current()) {
-      trace->instant("select", "sim.select", now * 1e6,
-                     obs::TraceSession::kSimPid, node,
-                     {{"weight",
-                       sel.present ? ca.decode(sel.w.data()).to_string()
-                                   : "-"}});
-    }
     if (weight_changed || path_changed) advertise(node, now);
   }
 }
@@ -345,10 +323,6 @@ void PathVectorSim::crash_node(int node, double now) {
   ++stats_.node_crash_events;
   obs::jrecord(obs::Subsystem::Sim, obs::EventKind::NodeCrash, jstream_, node,
                -1, 0, 0, static_cast<std::uint64_t>(now * 1e6));
-  if (obs::TraceSession* trace = obs::TraceSession::current()) {
-    trace->instant("crash", "sim.chaos", now * 1e6,
-                   obs::TraceSession::kSimPid, node);
-  }
   // The node loses all protocol state: its RIB-in (out-arcs carry what its
   // neighbours advertised to it) and its selection.
   for (int id : net_.graph().out_arcs(node)) {
@@ -380,10 +354,6 @@ void PathVectorSim::restart_node(int node, double now) {
   ++stats_.node_restart_events;
   obs::jrecord(obs::Subsystem::Sim, obs::EventKind::NodeRestart, jstream_,
                node, -1, 0, 0, static_cast<std::uint64_t>(now * 1e6));
-  if (obs::TraceSession* trace = obs::TraceSession::current()) {
-    trace->instant("restart", "sim.chaos", now * 1e6,
-                   obs::TraceSession::kSimPid, node);
-  }
   if (node == dest_) {
     // The destination re-originates its route on restart.
     selected_[static_cast<std::size_t>(node)] = origin_;
@@ -478,7 +448,6 @@ void PathVectorSim::maybe_record_quiescent(double now) {
 SimResult PathVectorSim::run() {
   static obs::Histogram& run_ns = obs::registry().histogram("sim.run_ns");
   obs::ScopedTimer timer(run_ns);
-  obs::TraceSession* trace = obs::TraceSession::current();
   sched_->bind(net_, opts_, jstream_);
   sched_reorders_ = sched_->reorders();
   if (sched_reorders_) {
@@ -514,10 +483,6 @@ SimResult PathVectorSim::run() {
           obs::jrecord(obs::Subsystem::Sim, obs::EventKind::MsgLoss, jstream_,
                        net_.graph().arc(e.arc).src, e.arc, 1, 0,
                        static_cast<std::uint64_t>(queue_.now() * 1e6));
-          if (trace) {
-            trace->instant("loss", "sim.chaos", queue_.now() * 1e6,
-                           obs::TraceSession::kSimPid, e.arc);
-          }
           break;
         }
         if (sched_reorders_) {
@@ -551,10 +516,11 @@ SimResult PathVectorSim::run() {
                      (flat_ ? e.fweight.present : e.weight.has_value()) ? 1
                                                                         : 0,
                      0, static_cast<std::uint64_t>(queue_.now() * 1e6));
-        if (trace && delivered_ % 64 == 0) {
-          trace->counter("queue depth", queue_.now() * 1e6,
-                         obs::TraceSession::kSimPid,
-                         static_cast<double>(queue_.size()));
+        if (delivered_ % 64 == 0) {
+          obs::jrecord(obs::Subsystem::Sim, obs::EventKind::QueueDepth,
+                       jstream_, -1, -1,
+                       static_cast<std::int64_t>(queue_.size()), 0,
+                       static_cast<std::uint64_t>(queue_.now() * 1e6));
         }
         reselect(net_.graph().arc(e.arc).src, queue_.now());
         break;
@@ -567,10 +533,6 @@ SimResult PathVectorSim::run() {
         arc_up_[static_cast<std::size_t>(e.arc)] = false;
         rib_in_[static_cast<std::size_t>(e.arc)] = std::nullopt;
         if (flat_) rib_in_flat_[static_cast<std::size_t>(e.arc)].present = false;
-        if (trace) {
-          trace->instant("link down", "sim.link", queue_.now() * 1e6,
-                         obs::TraceSession::kSimPid, e.arc);
-        }
         reselect(net_.graph().arc(e.arc).src, queue_.now());
         break;
       }
@@ -580,10 +542,6 @@ SimResult PathVectorSim::run() {
                      net_.graph().arc(e.arc).src, e.arc, 0, 0,
                      static_cast<std::uint64_t>(queue_.now() * 1e6));
         arc_up_[static_cast<std::size_t>(e.arc)] = true;
-        if (trace) {
-          trace->instant("link up", "sim.link", queue_.now() * 1e6,
-                         obs::TraceSession::kSimPid, e.arc);
-        }
         // The arc's head re-advertises so the tail can learn the route —
         // unless an endpoint is still crashed, in which case the restart
         // will trigger the re-advertisement.
@@ -610,10 +568,6 @@ SimResult PathVectorSim::run() {
         obs::jrecord(obs::Subsystem::Sim, obs::EventKind::Resync, jstream_,
                      -1, e.arc, 0, 0,
                      static_cast<std::uint64_t>(queue_.now() * 1e6));
-        if (trace) {
-          trace->instant("resync", "sim.chaos", queue_.now() * 1e6,
-                         obs::TraceSession::kSimPid, e.arc);
-        }
         if (!arc_alive(e.arc)) break;
         // Unconditional re-advertisement (withdrawals included): the loss
         // window may have eaten the head's final message, route or

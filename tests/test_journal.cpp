@@ -1,15 +1,21 @@
 // The convergence flight recorder (mrt::obs journal): enable gating, global
 // ordering, ring overflow (newest-wins flight-recorder semantics), reset,
 // concurrent producers racing a mid-run drain, describe() determinism across
-// replays, and the provenance index + explain_route query layer on top.
+// replays, span bracketing, and the two query layers on top: the provenance
+// index + explain_route, and the Chrome trace exporter.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mrt/compile/engine.hpp"
+#include "mrt/obs/chrome_trace.hpp"
 #include "mrt/obs/provenance.hpp"
+#include "mrt/rib/rib.hpp"
 #include "mrt/sim/scenario.hpp"
 
 namespace mrt {
@@ -180,6 +186,98 @@ TEST_F(JournalTest, DescribeIsDeterministicAcrossReplays) {
   const std::string second = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// Every SolveBegin/UpdateBegin is closed by an UpdateEnd of its stream, no-op
+// batches included (an empty batch, and a relabel of the arc while it is
+// down), so the trace can draw every solve and update as one span.
+TEST_F(JournalTest, EveryUpdateBeginIsClosed) {
+  const Scenario sc = good_gadget_hops();
+  const compile::WeightEngine eng(sc.alg);
+  std::vector<dyn::TopologyDelta> batches(4);
+  batches[1].arc_down(0);
+  batches[2].relabel(0, sc.net.label(0));
+  batches[3].arc_up(0);
+
+  auto dijkstra = dyn::make_solver(dyn::EngineKind::Dijkstra, sc.alg);
+  auto bellman = dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
+  rib::RibSolver flat(sc.alg, &eng);
+  rib::RibSolver refs(sc.alg);
+  dijkstra->solve(sc.net, sc.dest, sc.origin);
+  bellman->solve(sc.net, sc.dest, sc.origin);
+  flat.solve_all(sc.net, sc.origin);
+  refs.solve_all(sc.net, sc.origin);
+  ASSERT_TRUE(flat.batched_flat());
+  ASSERT_FALSE(refs.batched_flat());
+  for (const dyn::TopologyDelta& d : batches) {
+    dijkstra->update(d);
+    bellman->update(d);
+    flat.update(d);
+    refs.update(d);
+  }
+
+  const std::vector<obs::JournalRecord> log = obs::journal().drain();
+  ASSERT_EQ(obs::journal().dropped(), 0u);
+  std::map<std::uint32_t, int> open;  // stream -> unclosed begins
+  std::size_t begins = 0;
+  for (const obs::JournalRecord& r : log) {
+    if (r.kind == EventKind::SolveBegin || r.kind == EventKind::UpdateBegin) {
+      EXPECT_EQ(open[r.stream]++, 0) << "nested begin: " << r.describe();
+      ++begins;
+    } else if (r.kind == EventKind::UpdateEnd) {
+      EXPECT_EQ(open[r.stream]--, 1) << "end without begin: " << r.describe();
+    }
+  }
+  for (const auto& [stream, n] : open) {
+    EXPECT_EQ(n, 0) << "stream " << stream << " left a begin open";
+  }
+  // The two standalone solvers and the two tables each bind once and take
+  // every batch; the reference columns add their own streams on top.
+  EXPECT_GT(begins, 4u * (1 + batches.size()));
+}
+
+// The trace is a lossless view of the journal: every record is one trace
+// event, except that a paired begin and end are one 'X' together.
+TEST_F(JournalTest, ChromeTraceHasOneEventPerRecord) {
+  const Scenario bad = bad_gadget();
+  SimOptions opts;
+  opts.seed = 7;
+  opts.max_events = 500;
+  opts.drop_top_routes = true;
+  PathVectorSim sim(bad.alg, bad.net, bad.dest, bad.origin, opts);
+  sim.run();
+
+  const Scenario sc = good_gadget_hops();
+  auto solver = dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
+  solver->solve(sc.net, sc.dest, sc.origin);
+  dyn::TopologyDelta down;
+  down.arc_down(0);
+  solver->update(down);
+  solver->update(dyn::TopologyDelta{});
+
+  const std::vector<obs::JournalRecord> log = obs::journal().drain();
+  ASSERT_EQ(obs::journal().dropped(), 0u);
+  std::size_t ends = 0;
+  for (const obs::JournalRecord& r : log) {
+    if (r.kind == EventKind::UpdateEnd) ++ends;
+  }
+  std::ostringstream out;
+  obs::write_chrome_trace(out, log);
+  const std::string trace = out.str();
+  const auto count = [&trace](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t x = count("\"ph\":\"X\"");
+  const std::size_t i = count("\"ph\":\"i\"");
+  const std::size_t c = count("\"ph\":\"C\"");
+  EXPECT_EQ(x, ends);
+  EXPECT_GE(c, 1u);
+  EXPECT_EQ(2 * x + i + c, log.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -468,18 +468,37 @@ TEST(ObsMetrics, JsonExportsQuantiles) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsTrace, ChromeExportRoundTrips) {
-  obs::TraceSession session;
-  session.name_thread(obs::TraceSession::kSimPid, 3, "node 3");
-  session.complete("advert \"x\"", "sim.msg", 10.0, 5.0,
-                   obs::TraceSession::kSimPid, 1,
-                   {{"from", std::int64_t{2}}, {"w", 1.5}, {"s", "a\nb"}});
-  session.instant("link down", "sim.link", 12.5, obs::TraceSession::kSimPid,
-                  0);
-  session.counter("queue depth", 13.0, obs::TraceSession::kSimPid, 4.0);
-  EXPECT_EQ(session.size(), 4u);
+  using obs::EventKind;
+  using obs::Subsystem;
+  const auto rec = [](std::uint64_t seq, Subsystem s, EventKind k,
+                      std::uint32_t stream, int node, int arc,
+                      std::int64_t aux, std::uint64_t t_ns,
+                      std::uint64_t sim_us) {
+    obs::JournalRecord r;
+    r.seq = seq;
+    r.subsystem = s;
+    r.kind = k;
+    r.stream = stream;
+    r.node = node;
+    r.arc = arc;
+    r.aux = aux;
+    r.t_ns = t_ns;
+    r.sim_us = sim_us;
+    return r;
+  };
+  const std::vector<obs::JournalRecord> log = {
+      rec(1, Subsystem::Dyn, EventKind::UpdateBegin, 1, -1, -1, 2, 5000, 0),
+      rec(2, Subsystem::Dyn, EventKind::DeltaArc, 1, 0, 3, 0, 6000, 0),
+      rec(3, Subsystem::Dyn, EventKind::UpdateEnd, 1, -1, -1, 4, 9000, 0),
+      rec(4, Subsystem::Sim, EventKind::MsgSend, 2, 3, 1, 1, 0, 10),
+      rec(5, Subsystem::Sim, EventKind::Reselect, 2, 3, 3, 1, 0, 12),
+      rec(6, Subsystem::Sim, EventKind::LinkDown, 2, 0, 3, 0, 0, 12),
+      rec(7, Subsystem::Sim, EventKind::QueueDepth, 2, -1, -1, 4, 0, 13),
+      rec(8, Subsystem::Dyn, EventKind::UpdateBegin, 1, -1, -1, 1, 9500, 0),
+  };
 
   std::ostringstream out;
-  session.write_chrome_json(out);
+  obs::write_chrome_trace(out, log);
   const std::string trace = out.str();
   EXPECT_TRUE(json_well_formed(trace)) << trace;
   // The required trace-event fields are present.
@@ -489,38 +508,46 @@ TEST(ObsTrace, ChromeExportRoundTrips) {
   EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(trace.find("\"dur\":"), std::string::npos);
   EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
-}
 
-TEST(ObsTrace, InstallationIsExclusiveAndScoped) {
-  EXPECT_EQ(obs::TraceSession::current(), nullptr);
-  {
-    obs::TraceSession session;
-    EXPECT_EQ(obs::TraceSession::current(), nullptr);  // not yet installed
-    session.install();
-    EXPECT_EQ(obs::TraceSession::current(), &session);
-    session.install();  // re-installing the same session is a no-op
-    EXPECT_EQ(obs::TraceSession::current(), &session);
-  }
-  // Destruction uninstalls.
-  EXPECT_EQ(obs::TraceSession::current(), nullptr);
-}
+  // One event per record, except that the paired begin and end are one.
+  const auto count = [&trace](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"ph\":\"X\""), 1u);
+  EXPECT_EQ(count("\"ph\":\"i\""), 5u);
+  EXPECT_EQ(count("\"ph\":\"C\""), 1u);
 
-TEST(ObsTrace, ScopedSpanRecordsOnlyUnderSession) {
-  {
-    obs::ScopedSpan span("orphan", "test");
-  }  // no session: nothing to record, nothing to crash
-  obs::TraceSession session;
-  session.install();
-  {
-    obs::ScopedSpan span("work", "test", 5);
-  }
-  session.uninstall();
-  auto events = session.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "work");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_EQ(events[0].tid, 5);
-  EXPECT_GE(events[0].dur_us, 0.0);
+  // The paired begin/end is one span on the wall clock, timed from the
+  // earliest wall record; the unclosed begin stays an instant.
+  EXPECT_NE(trace.find("\"ts\":0,\"name\":\"update\",\"ph\":\"X\","
+                       "\"dur\":4,\"args\":{\"ops\":2,\"affected\":4"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"name\":\"update_begin\",\"ph\":\"i\""),
+            std::string::npos);
+  // Sim records keep the simulator's names, at sim time.
+  EXPECT_NE(trace.find("\"ts\":10,\"name\":\"advert\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"select\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"link down\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":13"),
+            std::string::npos);
+
+  // Node 3 and arc 3 are different rows; each row is named.
+  const auto tid_of = [&trace](const std::string& row) {
+    const std::size_t at = trace.find(",\"args\":{\"name\":\"" + row + "\"}");
+    if (at == std::string::npos) return std::string();
+    const std::size_t from = trace.rfind("\"tid\":", at);
+    return trace.substr(from, at - from);
+  };
+  EXPECT_FALSE(tid_of("node 3").empty()) << trace;
+  EXPECT_FALSE(tid_of("arc 3").empty()) << trace;
+  EXPECT_FALSE(tid_of("stream 1").empty()) << trace;
+  EXPECT_NE(tid_of("node 3"), tid_of("arc 3"));
 }
 
 }  // namespace

@@ -327,6 +327,10 @@ TEST(Serve, MissingFileAndCorruptStreamTerminateGracefully) {
   EXPECT_EQ(daemon.stats().decode_errors, 2u);
   EXPECT_FALSE(corrupt.error().empty());
   EXPECT_FALSE(daemon.rib().routing(0).has_route(1));
+  // Draining the failed stream again applies nothing and counts nothing:
+  // one failure, one decode error.
+  EXPECT_EQ(daemon.drain(corrupt), 0u);
+  EXPECT_EQ(daemon.stats().decode_errors, 2u);
 }
 
 }  // namespace
