@@ -8,7 +8,7 @@
 // else must honestly report Converged or Diverged with no bound claim.
 // BoundViolated anywhere is a theorem falsification and fails the bench.
 //
-// Gates (scripts/bench_json.sh):
+// Gates (scripts/bench_gates.py):
 //   adv.cert_validity       == 1.0   every certificate matches theory
 //   adv.bound_violations    == 0     no falsification
 //   adv.overhead_per_event  <= 1.25  adversarial scheduling costs at most

@@ -20,6 +20,7 @@
 #include "mrt/core/report.hpp"
 #include "mrt/obs/obs.hpp"
 #include "mrt/par/par.hpp"
+#include "mrt/routing/labeled_graph.hpp"
 #include "mrt/support/table.hpp"
 
 namespace mrt::bench {
@@ -48,6 +49,39 @@ inline Value stacked_origin(int depth) {
                     i % 2 == 0 ? Value::integer(0) : Value::inf());
   }
   return v;
+}
+
+/// Best-of-`reps` wall time of `f`, in milliseconds.
+template <typename F>
+double time_ms(int reps, F&& f) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    const double ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    if (ms < best) best = ms;
+  }
+  return best;
+}
+
+inline std::string fmt(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2f", v);
+  return buf;
+}
+
+/// Byte identity of two routings: weight and witness arc at every node.
+inline bool same_routing(const Routing& a, const Routing& b) {
+  if (a.weight.size() != b.weight.size()) return false;
+  for (std::size_t v = 0; v < a.weight.size(); ++v) {
+    if (a.weight[v].has_value() != b.weight[v].has_value()) return false;
+    if (a.weight[v] && !(*a.weight[v] == *b.weight[v])) return false;
+    if (a.next_arc[v] != b.next_arc[v]) return false;
+  }
+  return true;
 }
 
 /// Extracts `--json <path>` or `--json=<path>` from argv (removing the

@@ -3,8 +3,8 @@
 // Thousands of seeded (scenario × fault-plan) runs, each scored by the
 // differential convergence oracles (stability, extension, reachability,
 // global agreement). The verdict table on stdout is bit-identical for every
-// MRT_THREADS value — scripts/bench_json.sh diffs a 1-thread run against an
-// n-thread run as the determinism gate.
+// MRT_THREADS value — scripts/bench_gates.py diffs a 1-thread run against a
+// 4-thread run as the determinism gate.
 #include "bench_util.hpp"
 #include "mrt/chaos/campaign.hpp"
 #include "mrt/core/bases.hpp"

@@ -8,7 +8,7 @@
 //
 // The census runs on the mrt::par pool: every sample draws its own Rng from
 // (sweep seed, sample index), so the tables are bit-identical for every
-// MRT_THREADS value (scripts/bench_json.sh diffs them as a check).
+// MRT_THREADS value (scripts/bench_gates.py diffs them as a check).
 #include "bench_util.hpp"
 #include "mrt/core/bases.hpp"
 

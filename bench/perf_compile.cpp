@@ -5,7 +5,7 @@
 // produces the identical result, then times both paths and reports
 // speedup.* metrics into BENCH_compile.json. The bench aborts (exit 1) if
 // any paper algebra falls back to boxed — compile.fallbacks must stay 0
-// here, which scripts/bench_json.sh gates.
+// here, which scripts/bench_gates.py gates.
 #include "bench_util.hpp"
 
 #include "mrt/compile/engine.hpp"
@@ -19,41 +19,12 @@
 namespace mrt {
 namespace {
 
+using bench::fmt;
+using bench::same_routing;
+using bench::time_ms;
 using compile::CompiledBisemigroup;
 using compile::CompiledNet;
 using compile::WeightEngine;
-
-/// Best-of-`reps` wall time of `f`, in milliseconds.
-template <typename F>
-double time_ms(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    const double ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  return buf;
-}
-
-bool same_routing(const Routing& a, const Routing& b) {
-  if (a.weight.size() != b.weight.size()) return false;
-  for (std::size_t v = 0; v < a.weight.size(); ++v) {
-    if (a.weight[v].has_value() != b.weight[v].has_value()) return false;
-    if (a.weight[v] && !(*a.weight[v] == *b.weight[v])) return false;
-    if (a.next_arc[v] != b.next_arc[v]) return false;
-  }
-  return true;
-}
 
 }  // namespace
 }  // namespace mrt

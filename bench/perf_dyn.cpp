@@ -8,7 +8,7 @@
 //      exit 1.
 //   2. a flap-heavy chaos campaign run A/B with the toggle off and on: the
 //      verdict tables must be byte-identical, and the warm run's wall clock
-//      is the headline speedup that scripts/bench_json.sh gates into
+//      is the headline speedup that scripts/bench_gates.py gates into
 //      BENCH_dyn.json.
 #include "bench_util.hpp"
 
@@ -21,37 +21,9 @@
 namespace mrt {
 namespace {
 
-/// Best-of-`reps` wall time of `f`, in milliseconds.
-template <typename F>
-double time_ms(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    const double ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  return buf;
-}
-
-bool same_routing(const Routing& a, const Routing& b) {
-  if (a.weight.size() != b.weight.size()) return false;
-  for (std::size_t v = 0; v < a.weight.size(); ++v) {
-    if (a.weight[v].has_value() != b.weight[v].has_value()) return false;
-    if (a.weight[v] && !(*a.weight[v] == *b.weight[v])) return false;
-    if (a.next_arc[v] != b.next_arc[v]) return false;
-  }
-  return true;
-}
+using bench::fmt;
+using bench::same_routing;
+using bench::time_ms;
 
 /// Runs `n_flaps` arc_down/arc_up pairs through `s`, with the dyn toggle
 /// forced to `warm`. The arcs cycle deterministically over the network.

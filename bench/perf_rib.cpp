@@ -6,7 +6,7 @@
 //      RibSolver::solve over a 64-destination subset vs 64 independent
 //      standalone dyn::Solver(Bellman) cold solves. Columns are
 //      byte-compared before anything is timed — a divergence aborts with
-//      exit 1. The ratio is the headline speedup scripts/bench_json.sh
+//      exit 1. The ratio is the headline speedup scripts/bench_gates.py
 //      gates into BENCH_rib.json (≥ 3×).
 //   2. warm multi-destination maintenance on a 10k-node Gao–Rexford
 //      internet: arc-flap pairs absorbed warm (MRT_DYN on, one shared
@@ -40,37 +40,9 @@
 namespace mrt {
 namespace {
 
-/// Best-of-`reps` wall time of `f`, in milliseconds.
-template <typename F>
-double time_ms(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    f();
-    const double ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  return buf;
-}
-
-bool same_routing(const Routing& a, const Routing& b) {
-  if (a.weight.size() != b.weight.size()) return false;
-  for (std::size_t v = 0; v < a.weight.size(); ++v) {
-    if (a.weight[v].has_value() != b.weight[v].has_value()) return false;
-    if (a.weight[v] && !(*a.weight[v] == *b.weight[v])) return false;
-    if (a.next_arc[v] != b.next_arc[v]) return false;
-  }
-  return true;
-}
+using bench::fmt;
+using bench::same_routing;
+using bench::time_ms;
 
 /// `k` destinations spread evenly over [0, n): deterministic, no RNG state
 /// shared with the topology generator.

@@ -9,7 +9,8 @@
 //
 // All three must agree byte-for-byte on every destination column — the
 // stream≡batch≡cold contract from docs/SERVE.md, demonstrated on the same
-// path a production deployment would run (file → FileSource → drain).
+// path a production deployment would run (file → FileSource → drain, on
+// the compiled flat kernels of a compile::WeightEngine).
 //
 // Usage: mrt_serve [deltas] [replay-path]
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "mrt/compile/engine.hpp"
 #include "mrt/dyn/solver.hpp"
 #include "mrt/rib/rib.hpp"
 #include "mrt/serve/serve.hpp"
@@ -81,8 +83,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Drain the file into a warm daemon, counting route-change events.
-  serve::Daemon daemon(sc.alg);
+  // Drain the file into a warm daemon on the compiled flat kernels, counting
+  // route-change events. The batch and cold references share the engine.
+  const compile::WeightEngine eng(sc.alg);
+  serve::Daemon daemon(sc.alg, &eng);
   daemon.start(sc.net, dests, sc.origin);
   stream::FileSource src(path);
   std::size_t events = 0;
@@ -98,11 +102,11 @@ int main(int argc, char** argv) {
   for (const dyn::TopologyDelta& d : log) {
     all.ops.insert(all.ops.end(), d.ops.begin(), d.ops.end());
   }
-  rib::RibSolver batch(sc.alg);
+  rib::RibSolver batch(sc.alg, &eng);
   batch.solve(sc.net, dests, sc.origin);
   batch.update(all);
 
-  rib::RibSolver cold(sc.alg);
+  rib::RibSolver cold(sc.alg, &eng);
   cold.solve(sc.net, dests, sc.origin);
   const bool dyn_was = dyn::enabled();
   dyn::set_enabled(false);

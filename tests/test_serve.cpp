@@ -1,9 +1,10 @@
 // serve::Daemon — the long-running routing daemon over the delta-stream seam.
 //
-//   correctness — draining a stream leaves every column byte-identical to a
-//                 cold RibSolver of the final topology (the daemon adds no
-//                 solver logic, so this is the stream≡cold contract again,
-//                 now through the daemon's warm loop).
+//   correctness — draining a stream leaves every column byte-identical to
+//                 one batch and to a cold RibSolver of the final topology,
+//                 on flat kernels and on reference columns (the daemon adds
+//                 no solver logic, so this is the stream≡batch≡cold
+//                 contract again, now through the daemon's warm loop).
 //   events      — route-change detection: an arc flap on a line graph emits
 //                 the withdrawal and the restoration, nothing else.
 //   telemetry   — serve.deltas_consumed / serve.route_changes /
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "mrt/dyn/solver.hpp"
 #include "mrt/graph/generators.hpp"
 #include "mrt/obs/obs.hpp"
 #include "mrt/rib/rib.hpp"
@@ -50,54 +52,79 @@ void expect_identical(const Routing& a, const Routing& b,
   }
 }
 
+// stream ≡ batch ≡ cold through the daemon, on the flat kernels a
+// deployment binds (WeightEngine) and on reference columns (none). The log
+// is down/up flaps of odd length: it ends with one arc down, so the
+// concatenated batch changes the topology and its dyn-off twin is a real
+// cold re-solve. (An even-length flap log composes to a no-op batch, which
+// stays warm whatever the toggle says.)
 TEST(Serve, DrainMatchesColdRibPerColumn) {
   Rng rng(0x5E12);
   const Scenario sc = gao_rexford_hierarchy(rng, 32, 16);
   const int arcs = sc.net.graph().num_arcs();
+  const compile::WeightEngine eng(sc.alg);
 
   std::vector<TopologyDelta> seq;
-  for (int i = 0; i < 12; ++i) {
-    TopologyDelta d;
-    const int a = static_cast<int>(rng.below(static_cast<std::uint64_t>(arcs)));
-    if (i % 3 == 2) {
-      d.arc_up(a);
-    } else {
-      d.arc_down(a);
-    }
-    seq.push_back(std::move(d));
+  for (int i = 0; i < 13; ++i) {
+    const int a = ((i / 2) * 7919) % arcs;
+    seq.push_back(i % 2 == 0 ? TopologyDelta{}.arc_down(a)
+                             : TopologyDelta{}.arc_up(a));
+  }
+  TopologyDelta all;
+  for (const TopologyDelta& d : seq) {
+    all.ops.insert(all.ops.end(), d.ops.begin(), d.ops.end());
   }
 
   std::vector<int> dests;
   for (int v = 0; v < sc.net.num_nodes(); v += 5) dests.push_back(v);
 
-  serve::Daemon daemon(sc.alg);
-  EXPECT_FALSE(daemon.started());
-  daemon.start(sc.net, dests, sc.origin);
-  ASSERT_TRUE(daemon.started());
+  const compile::WeightEngine* const engines[] = {&eng, nullptr};
+  for (const compile::WeightEngine* engine : engines) {
+    SCOPED_TRACE(engine ? "flat" : "reference columns");
+    serve::Daemon daemon(sc.alg, engine);
+    EXPECT_FALSE(daemon.started());
+    daemon.start(sc.net, dests, sc.origin);
+    ASSERT_TRUE(daemon.started());
+    EXPECT_EQ(daemon.rib().batched_flat(), engine != nullptr);
 
-  stream::BufferSource src(stream::encode_stream(seq));
-  const std::size_t batches = daemon.drain(src);
-  EXPECT_EQ(batches, seq.size());
-  EXPECT_EQ(daemon.stats().deltas_consumed, seq.size());
-  EXPECT_EQ(daemon.stats().warm_updates, seq.size());
-  EXPECT_EQ(daemon.stats().cold_updates, 0u);
-  EXPECT_EQ(daemon.stats().decode_errors, 0u);
+    // One wire frame per drain, so every update's stats can be read: each
+    // must be warm and change an arc.
+    for (const TopologyDelta& d : seq) {
+      stream::BufferSource frame(stream::encode_stream({d}));
+      ASSERT_EQ(daemon.drain(frame), 1u);
+      EXPECT_FALSE(daemon.rib().last_update().cold);
+      EXPECT_GT(daemon.rib().last_update().changed_arcs, 0);
+    }
+    EXPECT_EQ(daemon.stats().decode_errors, 0u);
+    EXPECT_EQ(daemon.stats().deltas_consumed, seq.size());
+    EXPECT_EQ(daemon.stats().warm_updates, seq.size());
+    EXPECT_EQ(daemon.stats().cold_updates, 0u);
+    EXPECT_EQ(daemon.rib().batched_flat(), engine != nullptr);
 
-  // Cold reference: one batch of all ops onto a fresh table.
-  TopologyDelta all;
-  for (const TopologyDelta& d : seq) {
-    all.ops.insert(all.ops.end(), d.ops.begin(), d.ops.end());
-  }
-  rib::RibSolver cold(sc.alg);
-  cold.solve(sc.net, dests, sc.origin);
-  cold.update(all);
+    // One batch of all ops onto a fresh table, warm and then cold.
+    rib::RibSolver batch(sc.alg, engine);
+    batch.solve(sc.net, dests, sc.origin);
+    batch.update(all);
+    EXPECT_FALSE(batch.last_update().cold);
+    rib::RibSolver cold(sc.alg, engine);
+    cold.solve(sc.net, dests, sc.origin);
+    const bool dyn_was = dyn::enabled();
+    dyn::set_enabled(false);
+    cold.update(all);
+    dyn::set_enabled(dyn_was);
+    EXPECT_TRUE(cold.last_update().cold);
 
-  ASSERT_EQ(daemon.rib().num_columns(), cold.num_columns());
-  for (int c = 0; c < cold.num_columns(); ++c) {
-    ASSERT_EQ(daemon.rib().column_converged(c), cold.column_converged(c));
-    if (!cold.column_converged(c)) continue;
-    expect_identical(daemon.rib().routing(c), cold.routing(c),
-                     "daemon vs cold col " + std::to_string(c));
+    ASSERT_EQ(daemon.rib().num_columns(), cold.num_columns());
+    for (int c = 0; c < cold.num_columns(); ++c) {
+      for (const rib::RibSolver* ref : {&batch, &cold}) {
+        ASSERT_EQ(daemon.rib().column_converged(c), ref->column_converged(c));
+        if (!ref->column_converged(c)) continue;
+        expect_identical(daemon.rib().routing(c), ref->routing(c),
+                         (ref == &cold ? "daemon vs cold col "
+                                       : "daemon vs batch col ") +
+                             std::to_string(c));
+      }
+    }
   }
 }
 
