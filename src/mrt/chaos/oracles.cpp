@@ -5,23 +5,6 @@
 namespace mrt::chaos {
 namespace {
 
-// The surviving subgraph as a standalone LabeledGraph (dead arcs dropped,
-// node set preserved). Arc ids are renumbered, which is fine: the global
-// oracle compares per-node weights only.
-LabeledGraph alive_subgraph(const LabeledGraph& net,
-                            const SurvivingTopology& topo) {
-  Digraph g(net.num_nodes());
-  ValueVec labels;
-  for (int id = 0; id < net.graph().num_arcs(); ++id) {
-    if (!topo.arc_ok(id)) continue;
-    const Arc& a = net.graph().arc(id);
-    if (!topo.node_ok(a.src) || !topo.node_ok(a.dst)) continue;
-    g.add_arc(a.src, a.dst);
-    labels.push_back(net.label(id));
-  }
-  return LabeledGraph(std::move(g), std::move(labels));
-}
-
 // Follows next_arc pointers from every routed node; a walk that fails to
 // reach dest within n hops is a forwarding loop of mutually-supporting
 // stale routes — the ghost the extension oracle exists to catch.
@@ -105,16 +88,13 @@ OracleReport check_oracles(const OrderTransform& alg, const LabeledGraph& net,
       std::unique_ptr<Solver> solver = opts.baseline->clone();
       truth = solver->update(res.delta);
     } else {
-      const LabeledGraph sub = alive_subgraph(net, topo);
-      // The subgraph has its own arc numbering, so it needs its own compiled
-      // label set; the algebra's kernels are shared through the engine.
-      if (opts.engine != nullptr && opts.engine->compiled()) {
-        const compile::CompiledNet cn =
-            compile::CompiledNet::make(*opts.engine, sub);
-        truth = dijkstra(alg, sub, dest, origin, cn.ok() ? &cn : nullptr);
-      } else {
-        truth = dijkstra(alg, sub, dest, origin);
+      // Cold path: one masked solve on the run's own net — dead arcs and
+      // crashed nodes are skipped in place, no subgraph is built.
+      compile::CompiledNet cn;
+      if (opts.engine != nullptr) {
+        cn = compile::CompiledNet::make(*opts.engine, net);
       }
+      truth = dijkstra(alg, net, dest, origin, &cn, topo);
     }
     for (int v = 0; v < net.num_nodes() && out.global.pass; ++v) {
       const std::size_t vi = static_cast<std::size_t>(v);

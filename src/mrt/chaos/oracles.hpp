@@ -53,7 +53,7 @@ struct OracleOptions {
   /// run_campaign derives this from the checker once per scenario).
   bool check_global = false;
   /// Optional compiled weight engine for the scenario's algebra: the global
-  /// oracle then solves the surviving subgraph on the flat path. The verdict
+  /// oracle then solves the surviving topology on the flat path. The verdict
   /// is identical either way (compiled solvers are differentially checked
   /// against boxed); only the wall clock changes.
   const compile::WeightEngine* engine = nullptr;

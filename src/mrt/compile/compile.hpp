@@ -141,17 +141,6 @@ class CompiledAlgebra {
     run_apply(f.ops.data(), f.ops.size(), w);
   }
 
-  /// Applies one label program to `ncols` consecutive weights (each words()
-  /// long, contiguous — one destination block of a batched route table),
-  /// decoding each opcode once per block instead of once per column.
-  /// Byte-identical to ncols separate apply() calls; per-column control flow
-  /// (ω guards) is tracked with per-column skip counters. ncols <= 64.
-  void apply_block(const CompiledLabel& f, std::uint64_t* w, int ncols) const {
-    const std::uint64_t all =
-        ncols >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << ncols) - 1);
-    run_apply_block(f.ops.data(), f.ops.size(), w, ncols, all);
-  }
-
   /// Fused relax kernel for one arc visit over a block of `ncols`
   /// contiguous weights (each words() long): for every lane set in `need`,
   /// computes f(src_lane) and adopts it into the matching lane of `best`

@@ -87,8 +87,9 @@ std::string TopologyDelta::describe() const {
 }
 
 DynNet::DynNet(LabeledGraph net) : net_(std::move(net)) {
-  arc_up_.assign(static_cast<std::size_t>(net_.graph().num_arcs()), true);
-  node_up_.assign(static_cast<std::size_t>(net_.num_nodes()), true);
+  masks_.arc_alive.assign(static_cast<std::size_t>(net_.graph().num_arcs()),
+                          true);
+  masks_.node_up.assign(static_cast<std::size_t>(net_.num_nodes()), true);
 }
 
 DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
@@ -110,15 +111,15 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   for (int id = 0; id < narcs; ++id) {
     alive_before[static_cast<std::size_t>(id)] = arc_alive(id);
   }
-  const std::vector<bool> node_before = node_up_;
+  const std::vector<bool> node_before = masks_.node_up;
   std::vector<std::pair<int, Value>> label_before;  // first edit per arc
   for (const DeltaOp& op : delta.ops) {
     switch (op.kind) {
       case DeltaOp::Kind::ArcDown:
-        arc_up_[static_cast<std::size_t>(op.arc)] = false;
+        masks_.arc_alive[static_cast<std::size_t>(op.arc)] = false;
         break;
       case DeltaOp::Kind::ArcUp:
-        arc_up_[static_cast<std::size_t>(op.arc)] = true;
+        masks_.arc_alive[static_cast<std::size_t>(op.arc)] = true;
         break;
       case DeltaOp::Kind::Relabel: {
         const bool seen = std::any_of(
@@ -129,10 +130,10 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
         break;
       }
       case DeltaOp::Kind::NodeDown:
-        node_up_[static_cast<std::size_t>(op.node)] = false;
+        masks_.node_up[static_cast<std::size_t>(op.node)] = false;
         break;
       case DeltaOp::Kind::NodeUp:
-        node_up_[static_cast<std::size_t>(op.node)] = true;
+        masks_.node_up[static_cast<std::size_t>(op.node)] = true;
         break;
     }
   }
@@ -158,7 +159,7 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   }
   for (int v = 0; v < num_nodes(); ++v) {
     const bool was = node_before[static_cast<std::size_t>(v)];
-    const bool now = node_up_[static_cast<std::size_t>(v)];
+    const bool now = masks_.node_up[static_cast<std::size_t>(v)];
     if (was && !now) out.nodes_down.push_back(v);
     if (!was && now) out.nodes_up.push_back(v);
   }

@@ -2,12 +2,13 @@
 //
 // A TopologyDelta is a finite batch of edits to a configured network — arc
 // admin down/up, arc relabel, node crash/restart — and DynNet is the mutable
-// topology state those edits apply to: a LabeledGraph plus arc-alive /
+// topology state those edits apply to: a LabeledGraph plus arc-admin /
 // node-up masks and a monotonically increasing version counter. The masks
-// use the same semantics as the chaos layer's SurvivingTopology: an arc is
-// *alive* iff it is admin-up and both endpoints are up, so a delta built
-// from a simulator run reproduces exactly the surviving subgraph the chaos
-// oracles validate against.
+// are a SurvivingTopology, the form the chaos oracles and the masked
+// dijkstra (routing/dijkstra.hpp) take: an arc is *alive* iff it is admin-up
+// and both endpoints are up, so a delta built from a simulator run
+// reproduces exactly the surviving topology the chaos oracles validate
+// against.
 #pragma once
 
 #include <cstdint>
@@ -71,19 +72,17 @@ class DynNet {
   int num_nodes() const { return net_.num_nodes(); }
   const Value& label(int arc_id) const { return net_.label(arc_id); }
 
-  bool arc_admin_up(int arc) const {
-    return arc_up_[static_cast<std::size_t>(arc)];
-  }
-  bool node_up(int node) const {
-    return node_up_[static_cast<std::size_t>(node)];
-  }
+  bool arc_admin_up(int arc) const { return masks_.arc_ok(arc); }
+  bool node_up(int node) const { return masks_.node_ok(node); }
   /// Usable for routing: admin-up and both endpoints up.
   bool arc_alive(int arc) const {
-    if (!arc_up_[static_cast<std::size_t>(arc)]) return false;
+    if (!masks_.arc_ok(arc)) return false;
     const Arc& a = net_.graph().arc(arc);
-    return node_up_[static_cast<std::size_t>(a.src)] &&
-           node_up_[static_cast<std::size_t>(a.dst)];
+    return masks_.node_ok(a.src) && masks_.node_ok(a.dst);
   }
+  /// The admin (arc_alive) and crash (node_up) masks, in the form the masked
+  /// solvers take: dijkstra over these solves the surviving topology.
+  const SurvivingTopology& masks() const { return masks_; }
 
   /// Bumped once per applied delta batch.
   std::uint64_t version() const { return version_; }
@@ -117,8 +116,7 @@ class DynNet {
 
  private:
   LabeledGraph net_;
-  std::vector<bool> arc_up_;   // admin state, per arc id
-  std::vector<bool> node_up_;  // crash state, per node
+  SurvivingTopology masks_;  // admin state per arc id, crash state per node
   std::uint64_t version_ = 0;
 };
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mrt/obs/obs.hpp"
+#include "mrt/routing/dijkstra.hpp"
 #include "mrt/support/require.hpp"
 
 namespace mrt {
@@ -418,9 +419,9 @@ class EngineBase : public Solver {
   bool jprev_valid_ = false;
 };
 
-/// Generalized Dijkstra as a dynamic engine. Cold solves run the masked
-/// selection loop (flat kernels when the network compiled); updates run a
-/// delta-Dijkstra over the affected set only: unaffected nodes stay frozen
+/// Generalized Dijkstra as a dynamic engine. Cold solves run the one-shot
+/// dijkstra (routing/dijkstra.hpp) over the surviving topology; updates run
+/// a delta-Dijkstra over the affected set only: unaffected nodes stay frozen
 /// as settled seeds, and a frozen node rejoins the affected set exactly when
 /// a relaxation strictly improves it (Ramalingam–Reps style). A safety cap
 /// on settle operations falls back to the cold path for algebras outside
@@ -434,106 +435,13 @@ class DijkstraEngine final : public EngineBase {
   }
 
  private:
+  /// dijkstra over the net's admin and crash masks (flat kernels when the
+  /// network compiled), then the canonical witness rebuild.
   void cold_solve() override {
-    const int n = dnet_.num_nodes();
-    r_.weight.assign(static_cast<std::size_t>(n), std::nullopt);
-    r_.next_arc.assign(static_cast<std::size_t>(n), -1);
+    r_ = dijkstra(alg_, dnet_.net(), dest_, origin_, &cnet_, dnet_.masks(),
+                  &stats_.relaxations);
     converged_ = true;
-    if (!node_ok(dest_)) return;
-    if (!cold_flat()) cold_boxed();
     rebuild_witnesses();
-  }
-
-  void cold_boxed() {
-    const int n = dnet_.num_nodes();
-    const Digraph& g = dnet_.graph();
-    const PreorderSet& ord = *alg_.ord;
-    r_.weight[static_cast<std::size_t>(dest_)] = origin_;
-    std::vector<char> settled(static_cast<std::size_t>(n), 0);
-    for (;;) {
-      int best = -1;
-      for (int v = 0; v < n; ++v) {
-        if (settled[static_cast<std::size_t>(v)] ||
-            !r_.weight[static_cast<std::size_t>(v)]) {
-          continue;
-        }
-        if (best < 0 ||
-            lt_of(ord.cmp(*r_.weight[static_cast<std::size_t>(v)],
-                          *r_.weight[static_cast<std::size_t>(best)]))) {
-          best = v;
-        }
-      }
-      if (best < 0) break;
-      settled[static_cast<std::size_t>(best)] = 1;
-      const Value& wb = *r_.weight[static_cast<std::size_t>(best)];
-      for (int id : g.in_arcs(best)) {
-        if (!dnet_.arc_alive(id)) continue;
-        const int u = g.arc(id).src;
-        if (u == best || settled[static_cast<std::size_t>(u)]) continue;
-        ++stats_.relaxations;
-        Value cand = alg_.fns->apply(dnet_.label(id), wb);
-        auto& wu = r_.weight[static_cast<std::size_t>(u)];
-        if (!wu || lt_of(ord.cmp(cand, *wu))) {
-          wu = std::move(cand);
-          r_.next_arc[static_cast<std::size_t>(u)] = id;
-        }
-      }
-    }
-  }
-
-  /// Masked selection loop on flat weight words; the boxed canonicalization
-  /// pass afterwards normalizes witnesses exactly as on the boxed path.
-  bool cold_flat() {
-    if (!cnet_.ok()) return false;
-    const compile::CompiledAlgebra& ca = cnet_.algebra();
-    const std::size_t stride = static_cast<std::size_t>(cnet_.words());
-    std::vector<std::uint64_t> origin_w(stride, 0);
-    if (!ca.encode(origin_, origin_w.data())) return false;
-
-    const int n = dnet_.num_nodes();
-    const Digraph& g = dnet_.graph();
-    std::vector<std::uint64_t> w(static_cast<std::size_t>(n) * stride, 0);
-    std::vector<std::uint8_t> present(static_cast<std::size_t>(n), 0);
-    std::vector<char> settled(static_cast<std::size_t>(n), 0);
-    auto wp = [&](int v) {
-      return w.data() + static_cast<std::size_t>(v) * stride;
-    };
-    for (std::size_t k = 0; k < stride; ++k) wp(dest_)[k] = origin_w[k];
-    present[static_cast<std::size_t>(dest_)] = 1;
-
-    std::vector<std::uint64_t> cand(stride);
-    for (;;) {
-      int best = -1;
-      for (int v = 0; v < n; ++v) {
-        if (settled[static_cast<std::size_t>(v)] ||
-            !present[static_cast<std::size_t>(v)]) {
-          continue;
-        }
-        if (best < 0 || lt_of(ca.compare(wp(v), wp(best)))) best = v;
-      }
-      if (best < 0) break;
-      settled[static_cast<std::size_t>(best)] = 1;
-      for (int id : g.in_arcs(best)) {
-        if (!dnet_.arc_alive(id)) continue;
-        const int u = g.arc(id).src;
-        if (u == best || settled[static_cast<std::size_t>(u)]) continue;
-        ++stats_.relaxations;
-        for (std::size_t k = 0; k < stride; ++k) cand[k] = wp(best)[k];
-        ca.apply(cnet_.label(id), cand.data());
-        if (!present[static_cast<std::size_t>(u)] ||
-            lt_of(ca.compare(cand.data(), wp(u)))) {
-          for (std::size_t k = 0; k < stride; ++k) wp(u)[k] = cand[k];
-          present[static_cast<std::size_t>(u)] = 1;
-          r_.next_arc[static_cast<std::size_t>(u)] = id;
-        }
-      }
-    }
-    for (int v = 0; v < n; ++v) {
-      if (present[static_cast<std::size_t>(v)]) {
-        r_.weight[static_cast<std::size_t>(v)] = ca.decode(wp(v));
-      }
-    }
-    return true;
   }
 
   void warm_update(const DynNet::Applied& ap) override {

@@ -32,10 +32,6 @@
 
 namespace mrt {
 
-namespace stream {
-class DeltaStream;
-}  // namespace stream
-
 namespace dyn {
 
 /// Work accounting of the last update() (or solve(); solve is always cold).
@@ -88,13 +84,6 @@ class Solver {
   /// (cold when dyn::enabled() is false or the previous state did not
   /// converge). Requires a prior solve().
   virtual const Routing& update(const dyn::TopologyDelta& delta) = 0;
-
-  /// Drains `s`, applying every delta batch through update() in order —
-  /// update() is the single-record case of this loop. Returns the final
-  /// routing. Requires a prior solve(). Defined in mrt/stream/consume.cpp
-  /// (link mrt_stream); a stream that terminates on a decode failure leaves
-  /// the solver at the last successfully applied delta (check s.error()).
-  const Routing& consume(stream::DeltaStream& s);
 
   /// The current solution (valid after solve()).
   virtual const Routing& routing() const = 0;

@@ -10,7 +10,6 @@
 #include "mrt/dyn/solver.hpp"
 #include "mrt/obs/obs.hpp"
 #include "mrt/par/par.hpp"
-#include "mrt/stream/stream.hpp"
 #include "mrt/support/require.hpp"
 
 namespace mrt {
@@ -60,7 +59,7 @@ struct RibSolver::Impl {
   // One destination block: up to kBlockCols columns over shared per-node
   // masks. Flat state is column-major within a node-major row — the words of
   // node v's `cols` columns are contiguous, which is what lets one arc visit
-  // stream the whole block through apply_block.
+  // stream the whole block through select_block.
   struct Block {
     int base = 0;
     int cols = 0;
@@ -436,9 +435,13 @@ struct RibSolver::Impl {
       frontier.assign(1, dest);
       while (!frontier.empty()) {
         // Collect this layer's candidates deduplicated on the fly (a node
-        // adjacent to several frontier members would otherwise be pushed —
-        // and sorted — once per in-arc). The flags are wiped per layer by
-        // walking the candidate list, so the array stays O(n) once.
+        // adjacent to several frontier members would otherwise be pushed
+        // once per in-arc). The flags are wiped per layer by walking the
+        // candidate list, so the array stays O(n) once. The list is not
+        // sorted: a candidate reads only heads attached in earlier layers
+        // and writes only its own lane, and the layer attaches only after
+        // the whole list is scanned, so the scan order cannot change a
+        // witness, a weight or the relaxation count.
         cands.clear();
         for (int v : frontier) {
           for (int e = in.begin(v); e < in.end(v); ++e) {
@@ -454,7 +457,6 @@ struct RibSolver::Impl {
           }
         }
         for (int u : cands) in_cands[static_cast<std::size_t>(u)] = 0;
-        std::sort(cands.begin(), cands.end());
         nextf.clear();
         for (int u : cands) {
           std::uint64_t* wu = W + static_cast<std::size_t>(u) * rowlen + loff;
@@ -973,15 +975,6 @@ void RibSolver::solve_all(const LabeledGraph& net, const Value& origin) {
 
 void RibSolver::update(const dyn::TopologyDelta& delta) {
   impl_->update(delta);
-}
-
-std::size_t RibSolver::consume(stream::DeltaStream& s) {
-  std::size_t n = 0;
-  while (std::optional<dyn::TopologyDelta> d = s.next()) {
-    impl_->update(*d);
-    ++n;
-  }
-  return n;
 }
 
 int RibSolver::num_columns() const { return impl_->columns(); }

@@ -49,10 +49,6 @@
 
 namespace mrt {
 
-namespace stream {
-class DeltaStream;
-}  // namespace stream
-
 namespace rib {
 
 /// Destination columns per block: wide enough to amortize opcode decode and
@@ -119,13 +115,6 @@ class RibSolver {
   /// out-of-range arc or node id throws std::logic_error and leaves the
   /// table untouched.
   void update(const dyn::TopologyDelta& delta);
-
-  /// Drains `s`, applying every delta batch through update() in order —
-  /// update() is the single-record case of this loop. Returns the number of
-  /// batches applied. Requires a prior solve(). A stream that terminates on
-  /// a decode failure leaves the table at the last successfully applied
-  /// delta (check s.error()).
-  std::size_t consume(stream::DeltaStream& s);
 
   int num_columns() const;
   const std::vector<int>& dests() const;

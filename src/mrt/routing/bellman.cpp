@@ -41,9 +41,10 @@ Candidate best_candidate(const OrderTransform& alg, const LabeledGraph& net,
   return best;
 }
 
-bool bellman_step_boxed(const OrderTransform& alg, const LabeledGraph& net,
-                        int dest, const Value& origin, Routing& r,
-                        const BellmanOptions& opts) {
+}  // namespace
+
+bool bellman_step(const OrderTransform& alg, const LabeledGraph& net,
+                  int dest, const Value& origin, Routing& r) {
   const int n = net.num_nodes();
   // One flat CSR walk per relaxation instead of two pointer hops through
   // vector<vector<int>> — built once per graph, shared by every round.
@@ -75,7 +76,7 @@ bool bellman_step_boxed(const OrderTransform& alg, const LabeledGraph& net,
             cur_arc = -1;
             continue;
           }
-          if (cur && opts.sticky) {
+          if (cur) {
             // Keep the current route if it is still available and not
             // strictly worse than the best candidate.
             const int arc = cur_arc;
@@ -111,6 +112,8 @@ bool bellman_step_boxed(const OrderTransform& alg, const LabeledGraph& net,
   return changed_any.load(std::memory_order_relaxed);
 }
 
+namespace {
+
 // Iteration state of the flat path: one fixed-stride word block per node.
 struct FlatRouting {
   std::size_t stride = 0;
@@ -145,7 +148,6 @@ bool words_eq(const std::uint64_t* a, const std::uint64_t* b,
 // change/convergence detection is identical.
 bool bellman_step_flat(const LabeledGraph& net, int dest,
                        const std::uint64_t* origin_w, FlatRouting& r,
-                       const BellmanOptions& opts,
                        const compile::CompiledNet& cn) {
   const int n = net.num_nodes();
   const CsrAdjacency& out = net.graph().csr_out();
@@ -194,7 +196,7 @@ bool bellman_step_flat(const LabeledGraph& net, int dest,
             next.arc[uu] = -1;
             continue;
           }
-          if (next.present[uu] && opts.sticky) {
+          if (next.present[uu]) {
             const int arc = next.arc[uu];
             if (arc >= 0) {
               const int v = net.graph().arc(arc).dst;
@@ -233,23 +235,7 @@ bool bellman_step_flat(const LabeledGraph& net, int dest,
   return changed_any.load(std::memory_order_relaxed);
 }
 
-// Entry/exit conversion between the public Routing and the flat state;
-// returns false (leaving `fr` unspecified) if any present weight fails to
-// encode, in which case the caller must stay boxed.
-bool routing_to_flat(const Routing& r, const compile::CompiledAlgebra& ca,
-                     FlatRouting& fr) {
-  const int n = static_cast<int>(r.weight.size());
-  fr.init(n, static_cast<std::size_t>(ca.words()));
-  for (int v = 0; v < n; ++v) {
-    const auto& wv = r.weight[static_cast<std::size_t>(v)];
-    if (!wv) continue;
-    if (!ca.encode(*wv, fr.at(v))) return false;
-    fr.present[static_cast<std::size_t>(v)] = 1;
-  }
-  fr.arc = r.next_arc;
-  return true;
-}
-
+// Exit conversion from the flat state to the public Routing.
 Routing flat_to_routing(const FlatRouting& fr,
                         const compile::CompiledAlgebra& ca) {
   const int n = static_cast<int>(fr.present.size());
@@ -264,25 +250,6 @@ Routing flat_to_routing(const FlatRouting& fr,
 }
 
 }  // namespace
-
-bool bellman_step(const OrderTransform& alg, const LabeledGraph& net,
-                  int dest, const Value& origin, Routing& r,
-                  const BellmanOptions& opts,
-                  const compile::CompiledNet* cn) {
-  if (cn != nullptr && cn->ok()) {
-    const compile::CompiledAlgebra& ca = cn->algebra();
-    std::vector<std::uint64_t> origin_w(static_cast<std::size_t>(ca.words()),
-                                        0);
-    FlatRouting fr;
-    if (ca.encode(origin, origin_w.data()) && routing_to_flat(r, ca, fr)) {
-      const bool changed =
-          bellman_step_flat(net, dest, origin_w.data(), fr, opts, *cn);
-      r = flat_to_routing(fr, ca);
-      return changed;
-    }
-  }
-  return bellman_step_boxed(alg, net, dest, origin, r, opts);
-}
 
 BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
                            int dest, const Value& origin,
@@ -310,7 +277,7 @@ BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
     fr.present[static_cast<std::size_t>(dest)] = 1;
     for (out.iterations = 0; out.iterations < opts.max_iterations;
          ++out.iterations) {
-      if (!bellman_step_flat(net, dest, origin_w.data(), fr, opts, *cn)) {
+      if (!bellman_step_flat(net, dest, origin_w.data(), fr, *cn)) {
         out.converged = true;
         break;
       }
@@ -322,7 +289,7 @@ BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
     out.routing.weight[static_cast<std::size_t>(dest)] = origin;
     for (out.iterations = 0; out.iterations < opts.max_iterations;
          ++out.iterations) {
-      if (!bellman_step_boxed(alg, net, dest, origin, out.routing, opts)) {
+      if (!bellman_step(alg, net, dest, origin, out.routing)) {
         out.converged = true;
         break;
       }

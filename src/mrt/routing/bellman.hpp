@@ -21,11 +21,12 @@ struct BellmanResult {
 
 struct BellmanOptions {
   int max_iterations = 1000;
-  /// If true, a node keeps its current route when a new candidate is merely
-  /// equivalent (BGP-like stickiness); if false, ties break by arc id.
-  bool sticky = true;
 };
 
+/// Routes are sticky (BGP-like): a node keeps its current route while that
+/// route is still available and no candidate is strictly better; otherwise
+/// ties break toward the smaller arc id.
+///
 /// When `cn` is non-null and fully compiled, the iteration state lives as
 /// flat weight words for the whole run (decoded only into the returned
 /// routing); results are identical to the boxed path.
@@ -34,12 +35,9 @@ BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
                            const BellmanOptions& opts = {},
                            const compile::CompiledNet* cn = nullptr);
 
-/// One synchronous update step (exposed for tests): returns true if any
-/// node's route changed. The compiled variant round-trips `r` through the
-/// flat encoding, so prefer bellman_sync for timing.
+/// One synchronous update step of bellman_sync's boxed iteration (exposed
+/// for tests): returns true if any node's route changed.
 bool bellman_step(const OrderTransform& alg, const LabeledGraph& net,
-                  int dest, const Value& origin, Routing& r,
-                  const BellmanOptions& opts,
-                  const compile::CompiledNet* cn = nullptr);
+                  int dest, const Value& origin, Routing& r);
 
 }  // namespace mrt

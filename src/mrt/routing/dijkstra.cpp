@@ -27,9 +27,9 @@ struct Counters {
 };
 
 Routing dijkstra_boxed(const OrderTransform& alg, const LabeledGraph& net,
-                       int dest, const Value& origin) {
+                       int dest, const Value& origin,
+                       const SurvivingTopology& topo, Counters& c) {
   const int n = net.num_nodes();
-  Counters c;
   Routing r;
   r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
   r.next_arc.assign(static_cast<std::size_t>(n), -1);
@@ -61,10 +61,14 @@ Routing dijkstra_boxed(const OrderTransform& alg, const LabeledGraph& net,
     const Value& wb = *r.weight[static_cast<std::size_t>(best)];
 
     // Relax arcs *into* best's routing state: an arc (u, best) lets u route
-    // via best with weight f_label(w_best).
+    // via best with weight f_label(w_best). best is up (only up nodes ever
+    // hold a weight), so the arc is alive iff it and its tail are up.
     for (int id : net.graph().in_arcs(best)) {
       const int u = net.graph().arc(id).src;
-      if (settled_set[static_cast<std::size_t>(u)]) continue;
+      if (!topo.arc_ok(id) || !topo.node_ok(u) ||
+          settled_set[static_cast<std::size_t>(u)]) {
+        continue;
+      }
       ++c.relaxations;
       Value cand = alg.fns->apply(net.label(id), wb);
       auto& wu = r.weight[static_cast<std::size_t>(u)];
@@ -75,8 +79,6 @@ Routing dijkstra_boxed(const OrderTransform& alg, const LabeledGraph& net,
       }
     }
   }
-
-  c.flush();
   return r;
 }
 
@@ -85,11 +87,11 @@ Routing dijkstra_boxed(const OrderTransform& alg, const LabeledGraph& net,
 // Routing.
 Routing dijkstra_flat(const LabeledGraph& net, int dest,
                       const std::uint64_t* origin_w,
-                      const compile::CompiledNet& cn) {
+                      const compile::CompiledNet& cn,
+                      const SurvivingTopology& topo, Counters& c) {
   const int n = net.num_nodes();
   const compile::CompiledAlgebra& ca = cn.algebra();
   const std::size_t stride = static_cast<std::size_t>(cn.words());
-  Counters c;
 
   std::vector<std::uint64_t> w(static_cast<std::size_t>(n) * stride, 0);
   std::vector<std::uint8_t> present(static_cast<std::size_t>(n), 0);
@@ -118,7 +120,10 @@ Routing dijkstra_flat(const LabeledGraph& net, int dest,
 
     for (int id : net.graph().in_arcs(best)) {
       const int u = net.graph().arc(id).src;
-      if (settled_set[static_cast<std::size_t>(u)]) continue;
+      if (!topo.arc_ok(id) || !topo.node_ok(u) ||
+          settled_set[static_cast<std::size_t>(u)]) {
+        continue;
+      }
       ++c.relaxations;
       for (std::size_t k = 0; k < stride; ++k) cand[k] = wp(best)[k];
       ca.apply(cn.label(id), cand.data());
@@ -139,26 +144,38 @@ Routing dijkstra_flat(const LabeledGraph& net, int dest,
     if (present[static_cast<std::size_t>(v)])
       r.weight[static_cast<std::size_t>(v)] = ca.decode(wp(v));
   }
-  c.flush();
   return r;
 }
 
 }  // namespace
 
 Routing dijkstra(const OrderTransform& alg, const LabeledGraph& net, int dest,
-                 const Value& origin, const compile::CompiledNet* cn) {
+                 const Value& origin, const compile::CompiledNet* cn,
+                 const SurvivingTopology& topo, std::uint64_t* relaxations) {
   const int n = net.num_nodes();
   MRT_REQUIRE(dest >= 0 && dest < n);
   static obs::Histogram& solve_ns =
       obs::registry().histogram("dijkstra.solve_ns");
   obs::ScopedTimer timer(solve_ns);
+  std::vector<std::uint64_t> origin_w;
+  bool flat = false;
   if (cn != nullptr && cn->ok()) {
-    std::vector<std::uint64_t> origin_w(static_cast<std::size_t>(cn->words()),
-                                        0);
-    if (cn->algebra().encode(origin, origin_w.data()))
-      return dijkstra_flat(net, dest, origin_w.data(), *cn);
+    origin_w.assign(static_cast<std::size_t>(cn->words()), 0);
+    flat = cn->algebra().encode(origin, origin_w.data());
   }
-  return dijkstra_boxed(alg, net, dest, origin);
+  Counters c;
+  Routing r;
+  if (!topo.node_ok(dest)) {
+    r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
+    r.next_arc.assign(static_cast<std::size_t>(n), -1);
+  } else if (flat) {
+    r = dijkstra_flat(net, dest, origin_w.data(), *cn, topo, c);
+  } else {
+    r = dijkstra_boxed(alg, net, dest, origin, topo, c);
+  }
+  c.flush();
+  if (relaxations != nullptr) *relaxations += c.relaxations;
+  return r;
 }
 
 }  // namespace mrt

@@ -9,6 +9,8 @@
 // example).
 #pragma once
 
+#include <cstdint>
+
 #include "mrt/compile/engine.hpp"
 #include "mrt/routing/labeled_graph.hpp"
 
@@ -22,8 +24,16 @@ namespace mrt {
 /// When `cn` is non-null and fully compiled, the selection/relaxation loops
 /// run on flat weight words (see docs/COMPILE.md); results are identical to
 /// the boxed path — decoding happens only at the returned Routing boundary.
+///
+/// `topo` restricts the solve to the surviving topology in place: an arc is
+/// relaxed only when it and both its endpoints are alive, and a down `dest`
+/// gives every node no route. The result equals the unmasked solve of the
+/// alive subgraph (same weights; witness arcs keep `net`'s arc ids). When
+/// `relaxations` is non-null, the solve adds its relaxation count to it.
 Routing dijkstra(const OrderTransform& alg, const LabeledGraph& net, int dest,
                  const Value& origin,
-                 const compile::CompiledNet* cn = nullptr);
+                 const compile::CompiledNet* cn = nullptr,
+                 const SurvivingTopology& topo = {},
+                 std::uint64_t* relaxations = nullptr);
 
 }  // namespace mrt

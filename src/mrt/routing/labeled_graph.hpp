@@ -35,6 +35,24 @@ class LabeledGraph {
 /// Labels every arc with a random label of `alg`'s function family.
 LabeledGraph label_randomly(const OrderTransform& alg, Digraph g, Rng& rng);
 
+/// The surviving topology of a network: which arcs are up and which nodes
+/// are up. An arc carries routes only when it and both its endpoints are up.
+/// Empty masks mean "everything alive", so the fault-free solvers and
+/// validators are the special case of the masked ones. dyn::DynNet keeps its
+/// admin and crash state in this form; the chaos oracles build it from a
+/// simulator run.
+struct SurvivingTopology {
+  std::vector<bool> arc_alive;  ///< per arc id; empty = all alive
+  std::vector<bool> node_up;    ///< per node; empty = all up
+
+  bool arc_ok(int id) const {
+    return arc_alive.empty() || arc_alive[static_cast<std::size_t>(id)];
+  }
+  bool node_ok(int v) const {
+    return node_up.empty() || node_up[static_cast<std::size_t>(v)];
+  }
+};
+
 /// A per-destination routing solution: for each node, an optional weight
 /// (nullopt = no route) and the chosen out-arc (-1 = none / destination).
 struct Routing {

@@ -47,21 +47,6 @@ bool forwarding_consistent(const LabeledGraph& net, const Routing& r,
 // Fault-aware oracles (mrt::chaos entry points)
 // ---------------------------------------------------------------------------
 
-/// The surviving topology after a fault campaign: which arcs are usable and
-/// which nodes are up. Empty masks mean "everything alive" so the fault-free
-/// validators are the special case of these.
-struct SurvivingTopology {
-  std::vector<bool> arc_alive;  ///< per arc id; empty = all alive
-  std::vector<bool> node_up;    ///< per node; empty = all up
-
-  bool arc_ok(int id) const {
-    return arc_alive.empty() || arc_alive[static_cast<std::size_t>(id)];
-  }
-  bool node_ok(int v) const {
-    return node_up.empty() || node_up[static_cast<std::size_t>(v)];
-  }
-};
-
 /// Local optimality (stability) restricted to the surviving topology:
 /// candidates are drawn only over alive arcs between up nodes, and crashed
 /// nodes must carry no route at all. This is the post-fault quiescence

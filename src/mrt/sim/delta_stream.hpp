@@ -6,10 +6,11 @@
 // next() per quiescent point, in run order, plus — when the run ended
 // mid-flight (event cap) or changed topology after the last quiescent
 // instant — one trailing correction delta so the composed stream always
-// lands exactly on SimResult::delta's admin state. Driving a cold-bound
-// Solver/RibSolver through consume() therefore walks it through every
-// intermediate surviving topology the protocol stabilized on, instead of
-// jumping straight to the end state.
+// lands exactly on SimResult::delta's admin state. Applying each batch to a
+// cold-bound Solver/RibSolver through update() (or draining the stream into
+// a serve::Daemon) therefore walks it through every intermediate surviving
+// topology the protocol stabilized on, instead of jumping straight to the
+// end state.
 #pragma once
 
 #include <vector>

@@ -5,10 +5,10 @@
 // for in-memory replay logs (MemorySource), wire-format byte buffers
 // (BufferSource), wire-format files (FileSource), and — via
 // mrt/sim/delta_stream.hpp — the path-vector simulator's quiescent-point
-// log. Consumers (`dyn::Solver::consume`, `rib::RibSolver::consume`,
-// `serve::Daemon::drain`) apply each batch through their ordinary `update()`
-// path, so a stream of N deltas is exactly N warm updates: the batch API is
-// the single-record case of the stream API, not a separate code path.
+// log. A stream of N deltas is exactly N ordinary `update()` calls on a
+// `dyn::Solver` or `rib::RibSolver`: the batch API is the single-record case
+// of the stream API, not a separate code path. `serve::Daemon::drain` is the
+// drain loop.
 //
 // Decode failures terminate the stream gracefully: `next()` returns nullopt
 // and `error()` is non-empty. A well-formed stream that simply ends leaves

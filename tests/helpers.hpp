@@ -8,6 +8,7 @@
 #include "mrt/core/bases.hpp"
 #include "mrt/core/checker.hpp"
 #include "mrt/core/quadrants.hpp"
+#include "mrt/routing/labeled_graph.hpp"
 
 namespace mrt::testing {
 
@@ -39,6 +40,26 @@ inline void expect_exact(Prop p, Tri inferred, Tri oracle,
   ASSERT_NE(oracle, Tri::Unknown) << context << ": oracle failed to decide";
   EXPECT_EQ(inferred, oracle) << context << ": exact rule for "
                               << to_string(p) << " disagrees with oracle";
+}
+
+/// The reference for masked solves: the surviving subgraph of `net` as a
+/// standalone LabeledGraph (dead arcs dropped, node set preserved). Arcs keep
+/// their relative order; subgraph arc k is net arc (*sub_to_net)[k].
+inline LabeledGraph alive_subgraph(const LabeledGraph& net,
+                                   const SurvivingTopology& topo,
+                                   std::vector<int>* sub_to_net = nullptr) {
+  Digraph g(net.num_nodes());
+  ValueVec labels;
+  if (sub_to_net != nullptr) sub_to_net->clear();
+  for (int id = 0; id < net.graph().num_arcs(); ++id) {
+    if (!topo.arc_ok(id)) continue;
+    const Arc& a = net.graph().arc(id);
+    if (!topo.node_ok(a.src) || !topo.node_ok(a.dst)) continue;
+    g.add_arc(a.src, a.dst);
+    labels.push_back(net.label(id));
+    if (sub_to_net != nullptr) sub_to_net->push_back(id);
+  }
+  return LabeledGraph(std::move(g), std::move(labels));
 }
 
 }  // namespace mrt::testing

@@ -328,6 +328,33 @@ INSTANTIATE_TEST_SUITE_P(Engines, SolverSeam,
                                       : "Bellman";
                          });
 
+// The cold Dijkstra engine's relaxation count is part of its observable work
+// profile (dyn.relaxations, the BENCH records): pinned on a boxed and a
+// compiled instance, after the cold bind and after a cold update.
+TEST(DijkstraEngine, ColdRelaxationCountsArePinned) {
+  DynToggle off(false);
+  const OrderTransform alg = chain_alg(20, 5);
+  auto boxed = dyn::make_solver(dyn::EngineKind::Dijkstra, alg);
+  boxed->solve(diamond(), 3, I(0));
+  EXPECT_EQ(boxed->last_update().relaxations, 8u);
+  boxed->update(TopologyDelta{}.arc_down(0));
+  ASSERT_TRUE(boxed->last_update().cold);
+  EXPECT_EQ(boxed->last_update().relaxations, 8u);
+
+  Rng rng(0xC01D);
+  const OrderTransform big = chain_alg(64, 4);
+  const LabeledGraph net = label_randomly(big, random_connected(rng, 40, 80),
+                                          rng);
+  const compile::WeightEngine eng(big);
+  ASSERT_TRUE(eng.compiled());
+  auto flat = dyn::make_solver(dyn::EngineKind::Dijkstra, big, &eng);
+  flat->solve(net, 5, I(0));
+  EXPECT_EQ(flat->last_update().relaxations, 196u);
+  flat->update(TopologyDelta{}.node_down(11).arc_down(7).arc_down(30));
+  ASSERT_TRUE(flat->last_update().cold);
+  EXPECT_EQ(flat->last_update().relaxations, 181u);
+}
+
 TEST(SimDeltaBridge, SimResultDeltaReproducesSurvivingTopology) {
   // A faulted simulator run's delta, applied to a fresh DynNet, must land on
   // exactly the surviving topology the result reports.

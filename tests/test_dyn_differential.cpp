@@ -134,16 +134,8 @@ void expect_identical(const Routing& a, const Routing& b,
 Routing legacy_subgraph_dijkstra(const OrderTransform& alg,
                                  const dyn::DynNet& dnet, int dest,
                                  const Value& origin) {
-  Digraph g(dnet.num_nodes());
-  ValueVec labels;
-  for (int id = 0; id < dnet.graph().num_arcs(); ++id) {
-    if (!dnet.arc_alive(id)) continue;
-    const Arc& a = dnet.graph().arc(id);
-    g.add_arc(a.src, a.dst);
-    labels.push_back(dnet.label(id));
-  }
-  return dijkstra(alg, LabeledGraph(std::move(g), std::move(labels)), dest,
-                  origin);
+  return dijkstra(alg, mrt::testing::alive_subgraph(dnet.net(), dnet.masks()),
+                  dest, origin);
 }
 
 TEST(DynDifferential, WarmUpdateByteIdenticalToColdAcrossThousandDeltas) {

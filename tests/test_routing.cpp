@@ -8,6 +8,7 @@
 #include "helpers.hpp"
 #include "mrt/core/combinators.hpp"
 #include "mrt/graph/generators.hpp"
+#include "mrt/par/par.hpp"
 #include "mrt/routing/bellman.hpp"
 #include "mrt/routing/dijkstra.hpp"
 #include "mrt/routing/minset.hpp"
@@ -141,6 +142,91 @@ TEST(Dijkstra, BandwidthDelayAnomaly) {
   EXPECT_EQ(truth[0], pr(I(2), I(2)));
 }
 
+// Masked dijkstra on the full net ≡ unmasked dijkstra on the alive subgraph
+// (the chaos oracles' former truth path): same presence and weight at every
+// node, the same witness (mapped back to the net's arc ids) and the same
+// relaxation count, boxed and compiled. Trials cycle through empty masks,
+// arc masks, arc + node masks, and a crashed destination.
+TEST(Dijkstra, MaskedEqualsAliveSubgraph) {
+  const OrderTransform sp = ot_shortest_path(6);
+  const OrderTransform spwp = lex(sp, ot_widest_path(6));
+  const OrderTransform deep = lex(spwp, sp);
+  const std::vector<std::pair<const OrderTransform*, Value>> algs = {
+      {&sp, I(0)},
+      {&spwp, pr(I(0), Value::inf())},
+      {&deep, pr(pr(I(0), Value::inf()), I(0))},
+  };
+  for (int trial = 0; trial < 240; ++trial) {
+    Rng rng(par::mix_seed(0xA11E, static_cast<std::uint64_t>(trial)));
+    const auto& [alg_ptr, origin] = algs[static_cast<std::size_t>(trial % 3)];
+    const OrderTransform& alg = *alg_ptr;
+    const int n = 2 + static_cast<int>(rng.below(15));
+    const int extra =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(2 * n)));
+    const LabeledGraph net =
+        label_randomly(alg, random_connected(rng, n, extra), rng);
+    const int dest =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+
+    // 0 empty masks, 1 arcs, 2 arcs + nodes, 3 arcs + nodes with dest down.
+    const int shape = trial % 4;
+    SurvivingTopology topo;
+    if (shape >= 1) {
+      for (int id = 0; id < net.graph().num_arcs(); ++id) {
+        topo.arc_alive.push_back(rng.below(10) < 7);
+      }
+    }
+    if (shape >= 2) {
+      for (int v = 0; v < n; ++v) topo.node_up.push_back(rng.below(10) < 8);
+      topo.node_up[static_cast<std::size_t>(dest)] = (shape == 2);
+    }
+    const std::string what = alg.name + " trial " + std::to_string(trial);
+
+    std::vector<int> sub_to_net;
+    const LabeledGraph sub = mrt::testing::alive_subgraph(net, topo,
+                                                          &sub_to_net);
+    const compile::WeightEngine eng(alg);
+    ASSERT_TRUE(eng.compiled()) << what;
+    const compile::CompiledNet cn = compile::CompiledNet::make(eng, net);
+    const compile::CompiledNet cs = compile::CompiledNet::make(eng, sub);
+    ASSERT_TRUE(cn.ok() && cs.ok()) << what;
+
+    for (const bool flat : {false, true}) {
+      std::uint64_t masked_relax = 0;
+      std::uint64_t sub_relax = 0;
+      const Routing masked = dijkstra(alg, net, dest, origin,
+                                      flat ? &cn : nullptr, topo,
+                                      &masked_relax);
+      const Routing ref = dijkstra(alg, sub, dest, origin,
+                                   flat ? &cs : nullptr, {}, &sub_relax);
+      for (int v = 0; v < n; ++v) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        // A down destination routes nobody; the subgraph solve still
+        // originates at it, so it is the reference only while dest is up.
+        const bool want = topo.node_ok(dest) && ref.weight[vi].has_value();
+        ASSERT_EQ(masked.weight[vi].has_value(), want)
+            << what << " flat " << flat << " node " << v;
+        if (!want) {
+          EXPECT_EQ(masked.next_arc[vi], -1) << what << " node " << v;
+          continue;
+        }
+        EXPECT_EQ(*masked.weight[vi], *ref.weight[vi])
+            << what << " flat " << flat << " node " << v;
+        const int ref_arc = ref.next_arc[vi];
+        const int want_arc =
+            ref_arc < 0 ? -1 : sub_to_net[static_cast<std::size_t>(ref_arc)];
+        EXPECT_EQ(masked.next_arc[vi], want_arc)
+            << what << " flat " << flat << " node " << v;
+      }
+      if (topo.node_ok(dest)) {
+        EXPECT_EQ(masked_relax, sub_relax) << what << " flat " << flat;
+      } else {
+        EXPECT_EQ(masked_relax, 0u) << what << " flat " << flat;
+      }
+    }
+  }
+}
+
 // --- Bellman ---------------------------------------------------------------
 
 TEST(Bellman, ConvergesToDijkstraOnMonotoneIncreasingAlgebras) {
@@ -172,7 +258,7 @@ TEST(Bellman, StableStatesAreExactlyLocalOptima) {
   EXPECT_TRUE(is_locally_optimal(bw, net, 0, Value::inf(), b.routing));
   // One more step changes nothing.
   Routing copy = b.routing;
-  EXPECT_FALSE(bellman_step(bw, net, 0, Value::inf(), copy, {}));
+  EXPECT_FALSE(bellman_step(bw, net, 0, Value::inf(), copy));
 }
 
 TEST(Bellman, IterationCapReportsNonConvergence) {

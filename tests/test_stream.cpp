@@ -4,7 +4,7 @@
 //               framed format (every op kind, every Value carrier shape),
 //               and truncated / corrupted / wrong-version frames are
 //               rejected gracefully (error, never a crash or a bogus delta).
-//   consume   — stream-of-N-deltas ≡ one N-op batch ≡ cold re-solve, byte
+//   drain     — stream-of-N-deltas ≡ one N-op batch ≡ cold re-solve, byte
 //               for byte, for ≥500 random delta sequences on both
 //               dyn::Solver and rib::RibSolver, sweeping the
 //               MRT_COMPILE × MRT_THREADS × MRT_SIMD toggle cube.
@@ -343,6 +343,19 @@ struct ScopedToggles {
   }
 };
 
+// Applies every batch of `s` through `solver.update()`, in stream order, and
+// returns the batch count: the drain loop serve::Daemon::drain runs, here
+// over a bare dyn::Solver or rib::RibSolver.
+template <typename S>
+std::size_t drain_updates(S& solver, stream::DeltaStream& s) {
+  std::size_t n = 0;
+  while (std::optional<TopologyDelta> d = s.next()) {
+    solver.update(*d);
+    ++n;
+  }
+  return n;
+}
+
 TopologyDelta concat(const std::vector<TopologyDelta>& seq) {
   TopologyDelta all;
   for (const TopologyDelta& d : seq) {
@@ -351,7 +364,7 @@ TopologyDelta concat(const std::vector<TopologyDelta>& seq) {
   return all;
 }
 
-// ≥500 random sequences: consume(stream) ≡ one batched update() ≡ cold
+// ≥500 random sequences: a drained stream ≡ one batched update() ≡ cold
 // re-solve on dyn::Solver, with the wire format in the loop (the stream is
 // encoded and decoded per sequence) and the toggle cube swept per trial.
 TEST(StreamEquivalence, DynConsumeEqualsBatchEqualsColdAcrossToggleCube) {
@@ -382,7 +395,7 @@ TEST(StreamEquivalence, DynConsumeEqualsBatchEqualsColdAcrossToggleCube) {
     auto streamed = dyn::make_solver(kind, inst.ot, weng);
     streamed->solve(inst.net, dest, I(0));
     stream::BufferSource src(stream::encode_stream(seq));
-    streamed->consume(src);
+    drain_updates(*streamed, src);
     ASSERT_TRUE(src.error().empty()) << inst.desc;
     ASSERT_EQ(streamed->net().version(), static_cast<std::uint64_t>(len))
         << inst.desc;
@@ -441,7 +454,7 @@ TEST(StreamEquivalence, RibConsumeEqualsBatchEqualsColdAcrossToggleCube) {
     rib::RibSolver streamed(inst.ot, weng);
     streamed.solve_all(inst.net, I(0));
     stream::MemorySource src(seq);
-    ASSERT_EQ(streamed.consume(src), static_cast<std::size_t>(len))
+    ASSERT_EQ(drain_updates(streamed, src), static_cast<std::size_t>(len))
         << inst.desc;
 
     rib::RibSolver batched(inst.ot, weng);
@@ -485,7 +498,7 @@ TEST(StreamEquivalence, FullToggleCubeAgreesOnOneSequence) {
         rib::RibSolver rib(inst.ot, engine_on ? &eng : nullptr);
         rib.solve_all(inst.net, I(0));
         stream::MemorySource src(seq);
-        rib.consume(src);
+        drain_updates(rib, src);
         if (!reference.has_value()) {
           reference = rib.routing(0);
         } else {
@@ -639,7 +652,7 @@ TEST(SimDeltaStream, ReplayLandsOnTheEndStateTopology) {
   EXPECT_GE(src.deltas().size(), res.quiescent.size());
   auto streamed = dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
   streamed->solve(sc.net, sc.dest, sc.origin);
-  streamed->consume(src);
+  drain_updates(*streamed, src);
 
   auto batched = dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
   batched->solve(sc.net, sc.dest, sc.origin);
@@ -663,7 +676,7 @@ TEST(SimDeltaStream, ReplayLandsOnTheEndStateTopology) {
   auto rewired = dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
   rewired->solve(sc.net, sc.dest, sc.origin);
   stream::BufferSource wire_src(bytes);
-  rewired->consume(wire_src);
+  drain_updates(*rewired, wire_src);
   ASSERT_TRUE(wire_src.error().empty());
   expect_identical(rewired->routing(), streamed->routing(),
                    "sim replay through wire");
