@@ -30,8 +30,8 @@
 #   --preset serve — tsan build focused on the routing daemon: runs the
 #          delta-stream + daemon suites under ThreadSanitizer with
 #          MRT_THREADS=4 — the drain loop feeds warm RibSolver updates whose
-#          destination blocks are stolen across workers while the daemon
-#          diffs shadow state between them — then exit.
+#          destination blocks are stolen across workers, each diffing its
+#          dirty lanes into its own change list — then exit.
 #   --labels <regex> — only run ctest tests whose label matches (unit,
 #          property, chaos, adv, perf, serve, example); see
 #          tests/CMakeLists.txt and examples/CMakeLists.txt.
@@ -119,9 +119,9 @@ if [ -n "$PRESET" ]; then
       ;;
     serve)
       # Routing-daemon focus: drain() pushes warm updates through the batched
-      # RibSolver (block stealing across workers) while the daemon reads the
-      # materialized columns back for the route-change diff, so the whole
-      # stream→daemon path runs under ThreadSanitizer.
+      # RibSolver (block stealing across workers, each block diffing its
+      # dirty lanes against its published copy), so the whole stream→daemon
+      # path runs under ThreadSanitizer.
       cmake -B build-tsan -DMRT_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
       cmake --build build-tsan -j "$(nproc)" \
         --target mrt_tests mrt_serve_tests

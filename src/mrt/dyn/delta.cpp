@@ -106,13 +106,51 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   }
   // Snapshot-and-diff: a batch reports its *net* effect, so an arc or node
   // that flaps down-then-up inside one batch (common in replayed simulator
-  // event streams) produces no spurious invalidation work downstream.
-  std::vector<bool> alive_before(static_cast<std::size_t>(narcs));
-  for (int id = 0; id < narcs; ++id) {
-    alive_before[static_cast<std::size_t>(id)] = arc_alive(id);
+  // event streams) produces no spurious invalidation work downstream. Only
+  // what the batch names can change: its arcs, its nodes, and the arcs
+  // incident to its nodes, so only those are snapshot and diffed.
+  const Digraph& g = net_.graph();
+  std::vector<int> arcs;
+  std::vector<int> nodes;
+  std::vector<std::pair<int, Value>> label_before;  // one per relabeled arc
+  for (const DeltaOp& op : delta.ops) {
+    if (op.kind == DeltaOp::Kind::NodeDown ||
+        op.kind == DeltaOp::Kind::NodeUp) {
+      nodes.push_back(op.node);
+      const std::vector<int>& out = g.out_arcs(op.node);
+      const std::vector<int>& in = g.in_arcs(op.node);
+      arcs.insert(arcs.end(), out.begin(), out.end());
+      arcs.insert(arcs.end(), in.begin(), in.end());
+    } else {
+      arcs.push_back(op.arc);
+      if (op.kind == DeltaOp::Kind::Relabel) {
+        label_before.emplace_back(op.arc, net_.label(op.arc));
+      }
+    }
   }
-  const std::vector<bool> node_before = masks_.node_up;
-  std::vector<std::pair<int, Value>> label_before;  // first edit per arc
+  auto sort_unique = [](std::vector<int>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  sort_unique(arcs);
+  sort_unique(nodes);
+  // Every entry holds its arc's label from before the batch, so any one of
+  // an arc's duplicates will do.
+  std::sort(label_before.begin(), label_before.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  label_before.erase(std::unique(label_before.begin(), label_before.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.first == b.first;
+                                 }),
+                     label_before.end());
+  std::vector<char> alive_before(arcs.size());
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    alive_before[i] = arc_alive(arcs[i]) ? 1 : 0;
+  }
+  std::vector<char> node_before(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    node_before[i] = node_up(nodes[i]) ? 1 : 0;
+  }
   for (const DeltaOp& op : delta.ops) {
     switch (op.kind) {
       case DeltaOp::Kind::ArcDown:
@@ -121,14 +159,9 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
       case DeltaOp::Kind::ArcUp:
         masks_.arc_alive[static_cast<std::size_t>(op.arc)] = true;
         break;
-      case DeltaOp::Kind::Relabel: {
-        const bool seen = std::any_of(
-            label_before.begin(), label_before.end(),
-            [&](const auto& p) { return p.first == op.arc; });
-        if (!seen) label_before.emplace_back(op.arc, net_.label(op.arc));
+      case DeltaOp::Kind::Relabel:
         net_.relabel(op.arc, op.label);
         break;
-      }
       case DeltaOp::Kind::NodeDown:
         masks_.node_up[static_cast<std::size_t>(op.node)] = false;
         break;
@@ -142,8 +175,8 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   for (const auto& [id, old_label] : label_before) {
     if (!(net_.label(id) == old_label)) out.relabeled_arcs.push_back(id);
   }
-  std::sort(out.relabeled_arcs.begin(), out.relabeled_arcs.end());
-  for (int id = 0; id < narcs; ++id) {
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const int id = arcs[i];
     const bool relabeled = std::binary_search(
         out.relabeled_arcs.begin(), out.relabeled_arcs.end(), id);
     const bool alive_now = arc_alive(id);
@@ -152,16 +185,15 @@ DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
     // programs from it), but the arc only enters changed_arcs — and thus
     // seeds witness invalidation — once it is actually alive. When it later
     // comes up, the alive transition puts it in changed_arcs then.
-    if (alive_now != alive_before[static_cast<std::size_t>(id)] ||
-        (relabeled && alive_now)) {
+    if (alive_now != (alive_before[i] != 0) || (relabeled && alive_now)) {
       out.changed_arcs.push_back(id);
     }
   }
-  for (int v = 0; v < num_nodes(); ++v) {
-    const bool was = node_before[static_cast<std::size_t>(v)];
-    const bool now = masks_.node_up[static_cast<std::size_t>(v)];
-    if (was && !now) out.nodes_down.push_back(v);
-    if (!was && now) out.nodes_up.push_back(v);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const bool was = node_before[i] != 0;
+    const bool now = node_up(nodes[i]);
+    if (was && !now) out.nodes_down.push_back(nodes[i]);
+    if (!was && now) out.nodes_up.push_back(nodes[i]);
   }
   return out;
 }

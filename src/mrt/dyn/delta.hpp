@@ -109,9 +109,11 @@ class DynNet {
   };
 
   /// Applies a batch of edits; every list in the result is sorted + deduped.
-  /// Every op's arc or node id is checked before anything is mutated, so a
-  /// batch with an out-of-range id throws std::logic_error and leaves the
-  /// net (masks, labels, version) exactly as it was.
+  /// Costs O(|ops| + the degrees of the nodes it names), not O(|E| + |V|):
+  /// only the named arcs and nodes and the arcs incident to the named nodes
+  /// are diffed. Every op's arc or node id is checked before anything is
+  /// mutated, so a batch with an out-of-range id throws std::logic_error and
+  /// leaves the net (masks, labels, version) exactly as it was.
   Applied apply(const TopologyDelta& delta);
 
  private:

@@ -213,6 +213,7 @@ class EngineBase : public Solver {
   void rebuild_witnesses() {
     const int n = dnet_.num_nodes();
     const Digraph& g = dnet_.graph();
+    stats_.rebuilt = true;
     std::vector<char> attached(static_cast<std::size_t>(n), 0);
     if (node_ok(dest_) && r_.weight[static_cast<std::size_t>(dest_)]) {
       r_.weight[static_cast<std::size_t>(dest_)] = origin_;
@@ -271,8 +272,10 @@ class EngineBase : public Solver {
   /// returns the sorted invalidated set. Running this *before* any
   /// recomputation is what rules out count-to-infinity ghosts: no surviving
   /// weight references a dead or relabeled witness, so every surviving
-  /// weight is still achievable in the new topology.
-  std::vector<int> invalidate(const DynNet::Applied& ap) {
+  /// weight is still achievable in the new topology. Sets `*cleared_route`
+  /// when an invalidated node had a route.
+  std::vector<int> invalidate(const DynNet::Applied& ap,
+                              bool* cleared_route = nullptr) {
     const int n = dnet_.num_nodes();
     const Digraph& g = dnet_.graph();
     std::vector<char> invalid(static_cast<std::size_t>(n), 0);
@@ -305,6 +308,10 @@ class EngineBase : public Solver {
         obs::jrecord(Subsystem::Dyn, EventKind::WitnessInvalidate, jstream_,
                      v, r_.next_arc[static_cast<std::size_t>(v)], 0,
                      dnet_.version());
+        if (cleared_route != nullptr &&
+            r_.weight[static_cast<std::size_t>(v)]) {
+          *cleared_route = true;
+        }
         clear_route(v);
         out.push_back(v);
       }
@@ -557,24 +564,49 @@ class BellmanEngine final : public EngineBase {
     r_.next_arc.assign(static_cast<std::size_t>(n), -1);
     converged_ = true;
     if (!node_ok(dest_)) return;
-    converged_ = relax_worklist({dest_}, nullptr);
+    converged_ = relax_worklist({dest_}, nullptr, nullptr);
     if (converged_) rebuild_witnesses();
   }
 
+  /// Skips the canonical rebuild when it would reproduce the forest byte
+  /// for byte (docs/DYN.md): invalidation cleared no route, the relax wrote
+  /// none, and no alive changed arc achieves. rib::RibSolver applies the
+  /// same rule per lane.
   void warm_update(const DynNet::Applied& ap) override {
-    const std::vector<int> invalid = invalidate(ap);
+    bool cleared = false;
+    const std::vector<int> invalid = invalidate(ap, &cleared);
     const std::vector<int> seeds = seed_nodes(ap, invalid);
     std::vector<int> touched;
-    converged_ = relax_worklist(seeds, &touched);
+    bool wrote = false;
+    converged_ = relax_worklist(seeds, &touched, &wrote);
     if (!converged_) return;
-    rebuild_witnesses();
+    if (cleared || wrote || changed_arc_achieves(ap)) rebuild_witnesses();
     stats_.affected = static_cast<int>(touched.size());
+  }
+
+  /// True when an alive changed arc u→h achieves: u != h, u is not the
+  /// destination, both are routed, and apply(label, w[h]) ≃ w[u].
+  bool changed_arc_achieves(const DynNet::Applied& ap) const {
+    const Digraph& g = dnet_.graph();
+    for (int id : ap.changed_arcs) {
+      if (!dnet_.arc_alive(id)) continue;
+      const Arc& a = g.arc(id);
+      if (a.src == a.dst || a.src == dest_) continue;
+      const auto& wu = r_.weight[static_cast<std::size_t>(a.src)];
+      const auto& wh = r_.weight[static_cast<std::size_t>(a.dst)];
+      if (wu && wh &&
+          equiv_of(alg_.ord->cmp(alg_.fns->apply(dnet_.label(id), *wh), *wu))) {
+        return true;
+      }
+    }
+    return false;
   }
 
   /// Gauss–Seidel rounds over the active set, ascending node order within a
   /// round. Returns false on hitting the round cap (divergent algebra).
+  /// Sets `*wrote` when a node's route changed.
   bool relax_worklist(const std::vector<int>& seeds,
-                      std::vector<int>* touched_out) {
+                      std::vector<int>* touched_out, bool* wrote) {
     const int n = dnet_.num_nodes();
     const Digraph& g = dnet_.graph();
     std::vector<char> queued(static_cast<std::size_t>(n), 0);
@@ -621,6 +653,7 @@ class BellmanEngine final : public EngineBase {
           }
         }
         if (changed) {
+          if (wrote != nullptr) *wrote = true;
           for (int id : g.in_arcs(u)) activate(g.arc(id).src);
         }
       }

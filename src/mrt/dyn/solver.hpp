@@ -41,6 +41,7 @@ struct UpdateStats {
   int total = 0;      ///< nodes in the bound network
   int changed_arcs = 0;
   std::uint64_t relaxations = 0;
+  bool rebuilt = false;  ///< the canonical witness forest was rebuilt
 
   double affected_fraction() const {
     return total > 0 ? static_cast<double>(affected) / total : 0.0;

@@ -35,6 +35,10 @@ using obs::Subsystem;
 //
 // A table that does not compile runs that standalone solver itself: one
 // reference column, a dyn::Solver(EngineKind::Bellman), per destination.
+//
+// An update rebuilds and diffs only its dirty lanes (rib.hpp). The rule is
+// the standalone Bellman engine's, so the skipped rebuilds — and the
+// relaxations they would have counted — are the same on both sides.
 struct RibSolver::Impl {
   OrderTransform alg;
   const compile::WeightEngine* weng = nullptr;
@@ -72,6 +76,11 @@ struct RibSolver::Impl {
                                          // only ever hold valid encodings)
     std::vector<std::uint8_t> present;   // n, bit l = column routed
     std::vector<int> next;               // n * cols witness arcs (-1 = none)
+    // The block as last published (its state after the previous solve or
+    // update), which an update's dirty lanes are diffed against.
+    std::vector<std::uint64_t> pub_w;
+    std::vector<std::uint8_t> pub_present;
+    std::vector<int> pub_next;
   };
   std::vector<Block> blocks;
 
@@ -115,12 +124,24 @@ struct RibSolver::Impl {
   struct BlockPlan {
     std::uint8_t coldm = 0;
     std::uint8_t warmm = 0;
+    std::uint8_t dirty = 0;  // cold, or invalidation cleared a route
     std::uint64_t cost = 0;
     std::vector<std::pair<int, std::uint8_t>> seeds;
   };
 
+  /// Phase-2 output for one block, merged in block order.
+  struct BlockOut {
+    std::uint64_t relaxations = 0;
+    int cold_cols = 0;
+    int rebuilt = 0;
+    std::vector<RouteDiff> diffs;  // column-then-node order
+  };
+
   std::vector<std::uint8_t> col_conv;
   RibStats stats;
+  std::vector<RouteDiff> changes;
+  // Reference columns' routings as last published (the boxed diff's base).
+  std::vector<Routing> ref_pub;
   std::uint32_t jstream = 0;
 
   mutable std::vector<Routing> rcache;
@@ -131,12 +152,8 @@ struct RibSolver::Impl {
 
   int columns() const { return static_cast<int>(dsts.size()); }
 
-  void refresh_alive() {
-    const int m = dnet.graph().num_arcs();
-    alive.assign(static_cast<std::size_t>(m), 0);
-    for (int id = 0; id < m; ++id) {
-      alive[static_cast<std::size_t>(id)] = dnet.arc_alive(id) ? 1 : 0;
-    }
+  void set_alive(int id) {
+    alive[static_cast<std::size_t>(id)] = dnet.arc_alive(id) ? 1 : 0;
   }
 
   std::uint64_t* row(Block& blk, int v) {
@@ -191,14 +208,16 @@ struct RibSolver::Impl {
 
   /// One worklist pass over every active lane of `qmask` (a per-node lane
   /// bitmask; qmask[v] != 0 iff v is on the frontier). Consumes qmask,
-  /// accumulates per-lane touched bits, and returns the mask of lanes still
-  /// active when the round cap hit (those lanes' state is exactly the
-  /// standalone solver's state at its own cap). With `ivec` the block's
-  /// rows are slot-major (see reshape_block) and arc visits go through the
-  /// vertical select kernel; bytes are identical either way.
+  /// accumulates per-lane touched bits and the lanes in which it changed a
+  /// route (`wrote`), and returns the mask of lanes still active when the
+  /// round cap hit (those lanes' state is exactly the standalone solver's
+  /// state at its own cap). With `ivec` the block's rows are slot-major (see
+  /// reshape_block) and arc visits go through the vertical select kernel;
+  /// bytes are identical either way.
   std::uint8_t flat_relax(Block& blk, std::vector<std::uint8_t>& qmask,
                           std::vector<std::uint8_t>& touched,
-                          std::uint64_t& relaxations, bool ivec) {
+                          std::uint8_t& wrote, std::uint64_t& relaxations,
+                          bool ivec) {
     const int n = dnet.num_nodes();
     const Digraph& g = dnet.graph();
     const CsrAdjacency& out = g.csr_out();
@@ -374,6 +393,7 @@ struct RibSolver::Impl {
           }
         }
         if (changed != 0) {
+          wrote |= changed;
           for (int e = in.begin(u); e < in.end(u); ++e) {
             const int t = in.head[static_cast<std::size_t>(e)];
             if (!dnet.node_up(t)) continue;
@@ -495,10 +515,12 @@ struct RibSolver::Impl {
   /// (next[u] == arc), exactly the standalone invalidate() per lane — the
   /// per-lane invalid set is the same least fixed point, discovered in one
   /// shared traversal. Invalidated routes are cleared; surviving nodes seed
-  /// the warm frontier through `seed`.
+  /// the warm frontier through `seed`. Returns the lanes in which a cleared
+  /// node had a route.
   template <typename Seed>
-  void invalidate_block(Block& blk, const DynNet::Applied& ap,
-                        std::uint8_t lanemask, Scratch& s, const Seed& seed) {
+  std::uint8_t invalidate_block(Block& blk, const DynNet::Applied& ap,
+                                std::uint8_t lanemask, Scratch& s,
+                                const Seed& seed) {
     const Digraph& g = dnet.graph();
     const CsrAdjacency& in = g.csr_in();
     const int cols = blk.cols;
@@ -540,14 +562,17 @@ struct RibSolver::Impl {
       }
     }
     std::sort(s.killed.begin(), s.killed.end());
+    std::uint8_t cleared = 0;
     for (int v : s.killed) {
       const std::uint8_t m = s.inv[static_cast<std::size_t>(v)];
       s.inv[static_cast<std::size_t>(v)] = 0;  // leave inv all-zero again
+      cleared |= m & blk.present[static_cast<std::size_t>(v)];
       for (unsigned mm = m; mm != 0; mm &= mm - 1) {
         clear_route(blk, v, std::countr_zero(mm));
       }
       if (dnet.node_up(v)) seed(v, m);
     }
+    return cleared;
   }
 
   /// Phase 1 of a table pass: split the block's lanes warm/cold, run the
@@ -570,6 +595,7 @@ struct RibSolver::Impl {
       }
     }
     plan.warmm = all & static_cast<std::uint8_t>(~plan.coldm);
+    plan.dirty = plan.coldm;
     plan.cost = static_cast<std::uint64_t>(dnet.num_nodes()) *
                 static_cast<std::uint64_t>(std::popcount(plan.coldm));
     if (plan.warmm == 0) return;
@@ -579,7 +605,7 @@ struct RibSolver::Impl {
       if (s.qmask[static_cast<std::size_t>(v)] == 0) s.seeded.push_back(v);
       s.qmask[static_cast<std::size_t>(v)] |= m;
     };
-    invalidate_block(blk, *ap, plan.warmm, s, seed);
+    plan.dirty |= invalidate_block(blk, *ap, plan.warmm, s, seed);
     const Digraph& g = dnet.graph();
     for (int id : ap->changed_arcs) {
       const int u = g.arc(id).src;
@@ -601,12 +627,85 @@ struct RibSolver::Impl {
 
   // --- per-block driver ------------------------------------------------------
 
+  /// The lanes of `lanes` in which an alive changed arc u→h achieves: u != h,
+  /// u is not the lane's destination, both are routed, and
+  /// apply(label, w[h]) ≃ w[u]. Such an arc can enter the canonical forest
+  /// although no route was cleared or written, so its lane is dirty.
+  std::uint8_t achieving_lanes(const Block& blk, const DynNet::Applied& ap,
+                               std::uint8_t lanes) const {
+    const Digraph& g = dnet.graph();
+    const compile::CompiledAlgebra& ca = cnet.algebra();
+    const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
+    auto lane = [&](int v, int l) {
+      return blk.w.data() + static_cast<std::size_t>(v) * rowlen +
+             static_cast<std::size_t>(l) * stride;
+    };
+    thread_local std::vector<std::uint64_t> probe;
+    probe.resize(stride);
+    std::uint8_t hit = 0;
+    for (int id : ap.changed_arcs) {
+      if (lanes == 0) break;
+      if (!alive[static_cast<std::size_t>(id)]) continue;
+      const Arc& a = g.arc(id);
+      if (a.src == a.dst) continue;
+      const std::uint8_t m =
+          lanes & blk.present[static_cast<std::size_t>(a.src)] &
+          blk.present[static_cast<std::size_t>(a.dst)] &
+          static_cast<std::uint8_t>(~destmask_of(blk, a.src));
+      for (unsigned mm = m; mm != 0; mm &= mm - 1) {
+        const int l = std::countr_zero(mm);
+        std::copy_n(lane(a.src, l), stride, probe.data());
+        if (ca.apply_if_equiv(cnet.label(id), lane(a.dst, l), probe.data())) {
+          hit |= static_cast<std::uint8_t>(1u << l);
+        }
+      }
+      lanes &= static_cast<std::uint8_t>(~hit);
+    }
+    return hit;
+  }
+
+  /// Diffs each lane of `dirty` against the published copy, node by node,
+  /// with the daemon's predicate: routed before and after, and when routed
+  /// the same witness and the same words (word equality is Value equality:
+  /// the encoding is canonical and injective). Appends the transitions in
+  /// column-then-node order and refreshes the copy where they differ. A
+  /// clean lane is byte-identical to its copy and has nothing to report.
+  void publish(Block& blk, std::uint8_t dirty, std::vector<RouteDiff>& diffs) {
+    const int n = dnet.num_nodes();
+    const std::size_t cols = static_cast<std::size_t>(blk.cols);
+    const std::size_t rowlen = cols * stride;
+    for (unsigned mm = dirty; mm != 0; mm &= mm - 1) {
+      const int l = std::countr_zero(mm);
+      const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
+      for (int v = 0; v < n; ++v) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        const std::size_t ni = vi * cols + static_cast<std::size_t>(l);
+        const std::uint64_t* w =
+            blk.w.data() + vi * rowlen + static_cast<std::size_t>(l) * stride;
+        std::uint64_t* pw = blk.pub_w.data() + (w - blk.w.data());
+        const bool had = (blk.pub_present[vi] & bit) != 0;
+        const bool has = (blk.present[vi] & bit) != 0;
+        if (had == has && (!has || (blk.pub_next[ni] == blk.next[ni] &&
+                                    std::equal(w, w + stride, pw)))) {
+          continue;
+        }
+        diffs.push_back({blk.base + l, v, had, has, has ? blk.next[ni] : -1});
+        blk.pub_present[vi] = static_cast<std::uint8_t>(
+            (blk.pub_present[vi] & ~bit) | (blk.present[vi] & bit));
+        blk.pub_next[ni] = blk.next[ni];
+        std::copy_n(w, stride, pw);
+      }
+    }
+  }
+
   /// Phase 2: runs one planned block — seed the frontier from the plan,
   /// relax every lane in lockstep, retry capped warm lanes cold with a fresh
-  /// round budget (the standalone update()'s run_cold() fallback), and
-  /// canonicalize every converged lane.
-  void run_block(Block& blk, const BlockPlan& plan, std::uint64_t& relaxations,
-                 int& cold_cols) {
+  /// round budget (the standalone update()'s run_cold() fallback), rebuild
+  /// the canonical forest of every converged dirty lane, and publish: a
+  /// cold bind (`ap == nullptr`) copies the whole block, an update diffs
+  /// its dirty lanes.
+  void run_block(Block& blk, const BlockPlan& plan, const DynNet::Applied* ap,
+                 BlockOut& out) {
     const int n = dnet.num_nodes();
     const int cols = blk.cols;
     const std::uint8_t coldm = plan.coldm;
@@ -636,8 +735,9 @@ struct RibSolver::Impl {
       }
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/true);
+    std::uint8_t wrote = 0;
     const std::uint8_t capped =
-        flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
+        flat_relax(blk, s.qmask, s.touched, wrote, out.relaxations, ivec);
 
     const std::uint8_t retry = capped & warmm;
     std::uint8_t capped2 = 0;
@@ -653,19 +753,34 @@ struct RibSolver::Impl {
               static_cast<std::uint8_t>(1u << l);
         }
       }
-      capped2 = flat_relax(blk, s.qmask, s.touched, relaxations, ivec);
+      capped2 = flat_relax(blk, s.qmask, s.touched, wrote, out.relaxations,
+                           ivec);
     }
     if (ivec) reshape_block(blk, /*to_slot_major=*/false);
     const std::uint8_t final_cold = coldm | retry;
     const std::uint8_t unconv =
         static_cast<std::uint8_t>((capped & coldm) | capped2);
-    cold_cols += std::popcount(final_cold);
+    out.cold_cols += std::popcount(final_cold);
+    // A clean converged lane keeps its weights, and no changed arc was a
+    // witness (invalidation would have cleared its tail) or achieves now,
+    // so its rebuild would reproduce the forest byte for byte (docs/DYN.md).
+    std::uint8_t dirty = plan.dirty | final_cold | wrote;
+    if (ap != nullptr) {
+      dirty |= achieving_lanes(
+          blk, *ap, static_cast<std::uint8_t>((warmm | coldm) & ~dirty));
+    }
     for (int l = 0; l < cols; ++l) {
       const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
       const bool conv = (unconv & bit) == 0;
       col_conv[static_cast<std::size_t>(blk.base + l)] =
           conv ? 1 : 0;
-      if (conv) flat_rebuild(blk, l, relaxations);
+      if ((dirty & bit) != 0) {
+        rvalid[static_cast<std::size_t>(blk.base + l)] = 0;
+        if (conv) {
+          flat_rebuild(blk, l, out.relaxations);
+          ++out.rebuilt;
+        }
+      }
       if ((final_cold & bit) != 0) {
         stats.affected[static_cast<std::size_t>(blk.base + l)] = n;
       } else {
@@ -676,6 +791,13 @@ struct RibSolver::Impl {
         stats.affected[static_cast<std::size_t>(blk.base + l)] = cnt;
       }
     }
+    if (ap == nullptr) {
+      blk.pub_w = blk.w;
+      blk.pub_present = blk.present;
+      blk.pub_next = blk.next;
+    } else {
+      publish(blk, dirty, out.diffs);
+    }
   }
 
   /// Two-phase pass over the destination blocks. Phase 1 plans every block
@@ -685,12 +807,11 @@ struct RibSolver::Impl {
   /// destination region no longer pins a static chunk assignment to a
   /// single thread. Blocks own disjoint state and write disjoint stats
   /// slots; the steal order decides only *who* runs a block, and per-block
-  /// accumulators merge in block order — bit-identical at any thread count.
+  /// outputs merge in block order — bit-identical at any thread count.
   void run_all_blocks(const DynNet::Applied* ap, bool cold_all) {
     const std::size_t nb = blocks.size();
     std::vector<BlockPlan> plans(nb);
-    std::vector<std::uint64_t> relax_pb(nb, 0);
-    std::vector<int> cold_pb(nb, 0);
+    std::vector<BlockOut> outs(nb);
     par::parallel_for(nb, 1, [&](std::size_t b0, std::size_t b1) {
       for (std::size_t b = b0; b < b1; ++b) {
         plan_block(blocks[b], ap, cold_all, plans[b]);
@@ -703,14 +824,15 @@ struct RibSolver::Impl {
                        return plans[a].cost > plans[b].cost;
                      });
     par::parallel_steal(order, [&](std::size_t b) {
-      run_block(blocks[b], plans[b], relax_pb[b], cold_pb[b]);
+      run_block(blocks[b], plans[b], ap, outs[b]);
     });
-    for (std::size_t b = 0; b < nb; ++b) {
-      stats.relaxations += relax_pb[b];
-      stats.cold_columns += cold_pb[b];
+    for (const BlockOut& o : outs) {
+      stats.relaxations += o.relaxations;
+      stats.cold_columns += o.cold_cols;
+      stats.rebuilt_columns += o.rebuilt;
+      changes.insert(changes.end(), o.diffs.begin(), o.diffs.end());
     }
     stats.cold = stats.cold_columns == stats.columns;
-    rvalid.assign(static_cast<std::size_t>(columns()), 0);
   }
 
   // --- reference columns ------------------------------------------------------
@@ -727,6 +849,7 @@ struct RibSolver::Impl {
     const std::size_t nc = refs.size();
     std::vector<std::uint64_t> relax(nc, 0);
     std::vector<std::uint8_t> cold(nc, 0);
+    std::vector<std::uint8_t> rebuilt(nc, 0);
     par::parallel_for(nc, 1, [&](std::size_t c0, std::size_t c1) {
       for (std::size_t c = c0; c < c1; ++c) {
         Solver& ref = *refs[c];
@@ -734,6 +857,7 @@ struct RibSolver::Impl {
           const dyn::UpdateStats& st = ref.last_update();
           relax[c] += st.relaxations;
           if (st.cold) cold[c] = 1;
+          if (st.rebuilt) rebuilt[c] = 1;
           stats.affected[c] = cold[c] ? stats.total : st.affected;
         });
         col_conv[c] = ref.converged() ? 1 : 0;
@@ -742,8 +866,34 @@ struct RibSolver::Impl {
     for (std::size_t c = 0; c < nc; ++c) {
       stats.relaxations += relax[c];
       stats.cold_columns += cold[c];
+      stats.rebuilt_columns += rebuilt[c];
     }
     stats.cold = stats.cold_columns == stats.columns;
+  }
+
+  /// The reference columns' route changes: each column's routing diffed
+  /// against its published copy with publish()'s predicate on boxed values,
+  /// in column-then-node order, refreshing the copy where they differ.
+  void publish_refs() {
+    const int n = dnet.num_nodes();
+    for (std::size_t c = 0; c < refs.size(); ++c) {
+      const Routing& r = refs[c]->routing();
+      Routing& pub = ref_pub[c];
+      for (int v = 0; v < n; ++v) {
+        const std::size_t vi = static_cast<std::size_t>(v);
+        const bool had = pub.weight[vi].has_value();
+        const bool has = r.weight[vi].has_value();
+        if (had == has &&
+            (!has || (pub.next_arc[vi] == r.next_arc[vi] &&
+                      *pub.weight[vi] == *r.weight[vi]))) {
+          continue;
+        }
+        changes.push_back({static_cast<int>(c), v, had, has,
+                           has ? r.next_arc[vi] : -1});
+        pub.weight[vi] = r.weight[vi];
+        pub.next_arc[vi] = r.next_arc[vi];
+      }
+    }
   }
 
   void make_refs() {
@@ -757,8 +907,14 @@ struct RibSolver::Impl {
   /// family's range): drop the flat blocks and bind one reference column
   /// per destination to the current topology — a cold solve over the
   /// current labels, then the admin and crash masks as one delta. Every
-  /// column does cold work, so the demoting update reports cold.
+  /// column does cold work, so the demoting update reports cold. The flat
+  /// columns, which this update has not touched and so are as published,
+  /// are decoded as the base its route changes are diffed against.
   void demote() {
+    ref_pub.resize(dsts.size());
+    for (int c = 0; c < columns(); ++c) {
+      decode_column(c, ref_pub[static_cast<std::size_t>(c)]);
+    }
     blocks = {};
     rcache = {};
     cnet = compile::CompiledNet();
@@ -786,6 +942,7 @@ struct RibSolver::Impl {
 
   void begin_stats(bool cold, std::size_t changed_arcs) {
     stats = RibStats{};
+    changes.clear();
     stats.cold = cold;
     stats.columns = columns();
     stats.total = dnet.num_nodes();
@@ -805,6 +962,8 @@ struct RibSolver::Impl {
     reg.counter("dyn.rib.changed_arcs")
         .add(static_cast<std::uint64_t>(stats.changed_arcs));
     reg.counter("dyn.rib.relaxations").add(stats.relaxations);
+    reg.counter("dyn.rib.rebuilt_columns")
+        .add(static_cast<std::uint64_t>(stats.rebuilt_columns));
     reg.histogram("dyn.rib.affected_pct")
         .record(static_cast<std::uint64_t>(stats.affected_mean_fraction() *
                                            100.0));
@@ -843,6 +1002,7 @@ struct RibSolver::Impl {
     col_conv.assign(static_cast<std::size_t>(total), 0);
     blocks.clear();
     refs.clear();
+    ref_pub.clear();
     if (!flat) {
       cnet = compile::CompiledNet();
       make_refs();
@@ -864,7 +1024,8 @@ struct RibSolver::Impl {
     }
     rcache.assign(static_cast<std::size_t>(total), Routing{});
     rvalid.assign(static_cast<std::size_t>(total), 0);
-    refresh_alive();
+    alive.resize(static_cast<std::size_t>(dnet.graph().num_arcs()));
+    for (int id = 0; id < dnet.graph().num_arcs(); ++id) set_alive(id);
     // Build the CSR views once, outside the parallel region.
     dnet.graph().csr_out();
     dnet.graph().csr_in();
@@ -885,6 +1046,7 @@ struct RibSolver::Impl {
         ref.solve(dnet.net(), dsts[c], origin);
         fold();
       });
+      for (const auto& ref : refs) ref_pub.push_back(ref->routing());
     }
     finish_stats();
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
@@ -905,8 +1067,10 @@ struct RibSolver::Impl {
       for (int id : ap.relabeled_arcs) cnet.relabel(id, dnet.label(id));
       if (!cnet.ok()) {
         demote();
+        publish_refs();
       } else if (ap.any()) {
-        refresh_alive();
+        // An arc's alive state changes only if it is a changed arc.
+        for (int id : ap.changed_arcs) set_alive(id);
         run_all_blocks(&ap, /*cold_all=*/!dyn::enabled());
       }
     } else {
@@ -916,6 +1080,7 @@ struct RibSolver::Impl {
         ref.update(delta);
         fold();
       });
+      publish_refs();
     }
     finish_stats();
     obs::jrecord(Subsystem::Dyn, EventKind::UpdateEnd, jstream, -1, -1,
@@ -924,30 +1089,34 @@ struct RibSolver::Impl {
                  dnet.version());
   }
 
+  /// Decodes flat column c into `r`.
+  void decode_column(int c, Routing& r) const {
+    const Block& blk = blocks[static_cast<std::size_t>(c / kBlockCols)];
+    const int l = c % kBlockCols;
+    const int n = dnet.num_nodes();
+    r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
+    r.next_arc.assign(static_cast<std::size_t>(n), -1);
+    const compile::CompiledAlgebra& ca = cnet.algebra();
+    const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
+    const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
+    for (int v = 0; v < n; ++v) {
+      if ((blk.present[static_cast<std::size_t>(v)] & bit) != 0) {
+        r.weight[static_cast<std::size_t>(v)] =
+            ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
+                      static_cast<std::size_t>(l) * stride);
+      }
+      r.next_arc[static_cast<std::size_t>(v)] =
+          blk.next[static_cast<std::size_t>(v) *
+                       static_cast<std::size_t>(blk.cols) +
+                   static_cast<std::size_t>(l)];
+    }
+  }
+
   const Routing& routing(int c) const {
     MRT_REQUIRE(bound && c >= 0 && c < columns());
     if (!flat) return refs[static_cast<std::size_t>(c)]->routing();
     if (!rvalid[static_cast<std::size_t>(c)]) {
-      const Block& blk = blocks[static_cast<std::size_t>(c / kBlockCols)];
-      const int l = c % kBlockCols;
-      const int n = dnet.num_nodes();
-      Routing& r = rcache[static_cast<std::size_t>(c)];
-      r.weight.assign(static_cast<std::size_t>(n), std::nullopt);
-      r.next_arc.assign(static_cast<std::size_t>(n), -1);
-      const compile::CompiledAlgebra& ca = cnet.algebra();
-      const std::size_t rowlen = static_cast<std::size_t>(blk.cols) * stride;
-      const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
-      for (int v = 0; v < n; ++v) {
-        if ((blk.present[static_cast<std::size_t>(v)] & bit) != 0) {
-          r.weight[static_cast<std::size_t>(v)] =
-              ca.decode(blk.w.data() + static_cast<std::size_t>(v) * rowlen +
-                        static_cast<std::size_t>(l) * stride);
-        }
-        r.next_arc[static_cast<std::size_t>(v)] =
-            blk.next[static_cast<std::size_t>(v) *
-                         static_cast<std::size_t>(blk.cols) +
-                     static_cast<std::size_t>(l)];
-      }
+      decode_column(c, rcache[static_cast<std::size_t>(c)]);
       rvalid[static_cast<std::size_t>(c)] = 1;
     }
     return rcache[static_cast<std::size_t>(c)];
@@ -998,6 +1167,10 @@ bool RibSolver::column_converged(int column) const {
 }
 
 const RibStats& RibSolver::last_update() const { return impl_->stats; }
+
+const std::vector<RouteDiff>& RibSolver::last_changes() const {
+  return impl_->changes;
+}
 
 const dyn::DynNet& RibSolver::net() const { return impl_->dnet; }
 

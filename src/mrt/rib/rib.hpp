@@ -30,6 +30,14 @@
 // bit-identical-at-any-thread-count contract (disjoint state, merged in
 // index order).
 //
+// An update pays per lane only for the lanes it made *dirty*: a lane whose
+// invalidation cleared a route, whose relax wrote one, that ran cold, or in
+// which an alive changed arc now achieves. A clean lane provably keeps its
+// canonical witness forest byte for byte (docs/DYN.md), so it skips the
+// rebuild and has no route change to report. Each block keeps a copy of
+// its state as last published; last_changes() is the diff of the dirty
+// lanes against it.
+//
 // The correctness contract is differential: every column — cold, and after
 // any delta sequence — is byte-identical to a standalone
 // dyn::Solver(EngineKind::Bellman) bound to that destination. The batched
@@ -64,6 +72,7 @@ struct RibStats {
   int cold_columns = 0;   ///< columns that fell back to a cold solve
   int total = 0;          ///< nodes in the bound network
   int changed_arcs = 0;   ///< arcs changed by the applied delta
+  int rebuilt_columns = 0;  ///< columns whose witness forest was rebuilt
   std::uint64_t relaxations = 0;
   std::vector<int> affected;  ///< per-column re-relaxed node counts
 
@@ -85,10 +94,21 @@ struct RibStats {
   }
 };
 
+/// One (column, node) route transition of the last update(): the route was
+/// gained, lost, or changed its weight or its witness arc.
+struct RouteDiff {
+  int column = 0;
+  int node = 0;
+  bool had = false;   ///< routed before the update
+  bool has = false;   ///< routed after it
+  int next_arc = -1;  ///< witness arc after (-1 when withdrawn)
+};
+
 /// Batched multi-destination solver. solve() binds (net, dests, origin) and
 /// computes every column cold; update() applies a TopologyDelta and warm-
 /// maintains all columns at once. routing(c) materializes column c as an
-/// ordinary boxed Routing (lazily, cached until the next solve/update).
+/// ordinary boxed Routing (lazily, cached until a solve or an update that
+/// dirties the column).
 class RibSolver {
  public:
   /// `engine` (optional, non-owning, must outlive the solver) routes the
@@ -126,6 +146,11 @@ class RibSolver {
   bool converged() const;                  ///< every column converged
   bool column_converged(int column) const;
   const RibStats& last_update() const;
+  /// The route transitions of the last update(), in column-then-node order
+  /// (empty after solve()). A flat table diffs the words of its dirty lanes
+  /// against its published copy; reference columns diff boxed Routings, as
+  /// does the update that demotes a flat table.
+  const std::vector<RouteDiff>& last_changes() const;
   const dyn::DynNet& net() const;
   std::uint32_t journal_stream() const;
   /// True when the batched flat kernels are active (compiled engine present,

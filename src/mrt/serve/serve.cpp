@@ -42,28 +42,6 @@ void Daemon::start(const LabeledGraph& net, std::vector<int> dests,
   stats_ = ServeStats{};
   update_index_ = 0;
   started_ = true;
-  snapshot_shadow();
-}
-
-void Daemon::snapshot_shadow() {
-  const int cols = rib_.num_columns();
-  const int n = rib_.net().num_nodes();
-  const std::size_t total =
-      static_cast<std::size_t>(cols) * static_cast<std::size_t>(n);
-  shadow_has_.resize(total);
-  shadow_arc_.resize(total);
-  shadow_weight_.resize(total);
-  for (int c = 0; c < cols; ++c) {
-    const Routing& r = rib_.routing(c);
-    const std::size_t base =
-        static_cast<std::size_t>(c) * static_cast<std::size_t>(n);
-    for (int v = 0; v < n; ++v) {
-      const std::size_t vi = static_cast<std::size_t>(v);
-      shadow_has_[base + vi] = r.weight[vi].has_value() ? 1 : 0;
-      shadow_arc_[base + vi] = r.next_arc[vi];
-      shadow_weight_[base + vi] = r.weight[vi];
-    }
-  }
 }
 
 std::size_t Daemon::apply(const dyn::TopologyDelta& delta,
@@ -81,40 +59,22 @@ std::size_t Daemon::apply(const dyn::TopologyDelta& delta,
   }
   if (obs::enabled()) deltas_counter().add(1);
 
-  std::size_t changes = 0;
-  const int cols = rib_.num_columns();
-  const int n = rib_.net().num_nodes();
-  for (int c = 0; c < cols; ++c) {
-    const Routing& r = rib_.routing(c);
-    const std::size_t base =
-        static_cast<std::size_t>(c) * static_cast<std::size_t>(n);
-    for (int v = 0; v < n; ++v) {
-      const std::size_t vi = static_cast<std::size_t>(v);
-      const bool had = shadow_has_[base + vi] != 0;
-      const bool has = r.weight[vi].has_value();
-      const bool same =
-          had == has &&
-          (!has || (shadow_arc_[base + vi] == r.next_arc[vi] &&
-                    *shadow_weight_[base + vi] == *r.weight[vi]));
-      if (same) continue;
-      ++changes;
-      if (!has) ++stats_.withdrawals;
-      if (sink) {
-        RouteChange ev;
-        ev.update_index = update_index_;
-        ev.column = c;
-        ev.dest = rib_.dests()[static_cast<std::size_t>(c)];
-        ev.node = v;
-        ev.had_route = had;
-        ev.has_route = has;
-        ev.next_arc = has ? r.next_arc[vi] : -1;
-        sink(ev);
-      }
-      shadow_has_[base + vi] = has ? 1 : 0;
-      shadow_arc_[base + vi] = r.next_arc[vi];
-      shadow_weight_[base + vi] = r.weight[vi];
+  const std::vector<rib::RouteDiff>& diffs = rib_.last_changes();
+  for (const rib::RouteDiff& d : diffs) {
+    if (!d.has) ++stats_.withdrawals;
+    if (sink) {
+      RouteChange ev;
+      ev.update_index = update_index_;
+      ev.column = d.column;
+      ev.dest = rib_.dests()[static_cast<std::size_t>(d.column)];
+      ev.node = d.node;
+      ev.had_route = d.had;
+      ev.has_route = d.has;
+      ev.next_arc = d.next_arc;
+      sink(ev);
     }
   }
+  const std::size_t changes = diffs.size();
   stats_.route_changes += changes;
   if (obs::enabled() && changes > 0) {
     changes_counter().add(static_cast<std::uint64_t>(changes));

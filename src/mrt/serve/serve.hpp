@@ -7,14 +7,15 @@
 // stream::DeltaStream supplies the changes (wire-format file, in-memory
 // replay log, or a simulator run via SimDeltaSource), and every applied
 // delta is one ordinary warm RibSolver::update — the daemon adds no solver
-// logic of its own, only lifecycle, route-change detection, and telemetry.
+// logic of its own, only lifecycle, route-change forwarding, and telemetry.
 //
 //   lifecycle   start(net, dests, origin)   cold bind, one full solve
 //               apply(delta) / drain(stream)  warm updates, in stream order
 //   events      RouteChange per (column, node) whose route content changed
-//               (gained, lost, new weight, or new witness arc)
+//               (gained, lost, new weight, or new witness arc): the table's
+//               own RibSolver::last_changes(), forwarded; nothing is decoded
 //   telemetry   serve.deltas_consumed / serve.route_changes counters,
-//               serve.update_ns latency histogram (p99 is the bench gate)
+//               serve.update_ns latency histogram (p50/p90/p99)
 //
 // See docs/SERVE.md for the wire format, the bench methodology, and the
 // byte-identity contract (stream-of-N ≡ one N-op batch ≡ cold solve).
@@ -58,17 +59,17 @@ class Daemon {
   explicit Daemon(const OrderTransform& alg,
                   const compile::WeightEngine* engine = nullptr);
 
-  /// Cold bind: one full solve of every destination column. May be called
-  /// again to rebind (stats and shadow state reset).
+  /// Cold bind: one full solve of every destination column; nothing is
+  /// decoded. May be called again to rebind (stats reset).
   void start(const LabeledGraph& net, std::vector<int> dests,
              const Value& origin);
 
   using ChangeSink = std::function<void(const RouteChange&)>;
 
-  /// Applies one delta batch warm, diffs every column against the shadow of
-  /// the previous state, and reports the route transitions it caused to
-  /// `sink` (if set). Returns the number of route changes. A batch the
-  /// table rejects (an out-of-range id) throws and changes nothing.
+  /// Applies one delta batch warm and reports the route transitions it
+  /// caused (the table's last_changes()) to `sink` (if set). Returns the
+  /// number of route changes. A batch the table rejects (an out-of-range
+  /// id) throws and changes nothing.
   std::size_t apply(const dyn::TopologyDelta& delta,
                     const ChangeSink& sink = {});
 
@@ -84,17 +85,10 @@ class Daemon {
   bool started() const { return started_; }
 
  private:
-  void snapshot_shadow();
-
   rib::RibSolver rib_;
   ServeStats stats_;
   bool started_ = false;
   std::uint64_t update_index_ = 0;
-  // Shadow of every column's route content from before the current delta:
-  // has-route flag, witness arc, and weight, flattened [column][node].
-  std::vector<std::uint8_t> shadow_has_;
-  std::vector<int> shadow_arc_;
-  std::vector<std::optional<Value>> shadow_weight_;
 };
 
 }  // namespace mrt::serve

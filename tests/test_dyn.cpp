@@ -163,6 +163,89 @@ TEST(DynNet, RejectedBatchMutatesNothing) {
   EXPECT_EQ(net.version(), v0 + 1);
 }
 
+// DynNet::apply diffs only what a batch names: its arcs, its nodes and the
+// arcs incident to its nodes. On random batches — in-batch flaps, repeated
+// ops, relabels of dead arcs and relabels back to the same label, node
+// crashes over admin-down arcs, crash-and-restart in one batch — its lists
+// equal a scan of every arc and node before and after the batch.
+TEST(DynNet, ApplyMatchesFullScanOnRandomBatches) {
+  Rng rng(0xD17A);
+  int relabeled = 0;
+  int dead_relabels = 0;
+  int crashes_over_down_arcs = 0;
+  int no_ops = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 6 + static_cast<int>(rng.below(10));
+    Digraph g = random_connected(rng, n, 4 + static_cast<int>(rng.below(12)));
+    g.add_arc(0, 0);  // a self-loop is both an in- and an out-arc of 0
+    g.add_arc(g.arc(0).src, g.arc(0).dst);  // parallel to arc 0
+    ValueVec labels;
+    for (int id = 0; id < g.num_arcs(); ++id) {
+      labels.push_back(I(rng.range(1, 3)));
+    }
+    const int m = g.num_arcs();
+    dyn::DynNet net(LabeledGraph(std::move(g), std::move(labels)));
+    for (int b = 0; b < 25; ++b) {
+      TopologyDelta d;
+      const int ops = 1 + static_cast<int>(rng.below(6));
+      for (int i = 0; i < ops; ++i) {
+        const int a =
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(m)));
+        const int v =
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+        switch (rng.below(7)) {
+          case 0:
+            d.arc_down(a);
+            break;
+          case 1:
+            d.arc_up(a);
+            break;
+          case 2:
+            d.arc_down(a).arc_up(a);
+            break;
+          case 3:
+            if (!net.arc_alive(a)) ++dead_relabels;
+            d.relabel(a, I(rng.range(1, 3)));
+            break;
+          case 4:
+            for (int id : net.graph().in_arcs(v)) {
+              if (!net.arc_admin_up(id) && net.node_up(v)) {
+                ++crashes_over_down_arcs;
+              }
+            }
+            d.node_down(v);
+            break;
+          case 5:
+            d.node_up(v);
+            break;
+          default:
+            d.node_down(v).node_up(v);
+            break;
+        }
+      }
+      if (rng.below(3) == 0) {
+        d.ops.push_back(d.ops[static_cast<std::size_t>(
+            rng.below(static_cast<std::uint64_t>(d.ops.size())))]);
+      }
+      const dyn::DynNet before = net;
+      const dyn::DynNet::Applied ap = net.apply(d);
+      const dyn::DynNet::Applied ref =
+          mrt::testing::full_scan_applied(before, net);
+      EXPECT_EQ(ap.changed_arcs, ref.changed_arcs) << d.describe();
+      EXPECT_EQ(ap.relabeled_arcs, ref.relabeled_arcs) << d.describe();
+      EXPECT_EQ(ap.nodes_down, ref.nodes_down) << d.describe();
+      EXPECT_EQ(ap.nodes_up, ref.nodes_up) << d.describe();
+      EXPECT_EQ(net.version(), before.version() + 1);
+      relabeled += static_cast<int>(ap.relabeled_arcs.size());
+      if (!ap.any()) ++no_ops;
+    }
+  }
+  EXPECT_GT(relabeled, 50);
+  EXPECT_GT(dead_relabels, 20);
+  EXPECT_GT(crashes_over_down_arcs, 20);
+  EXPECT_GT(no_ops, 20);
+}
+
 class SolverSeam : public ::testing::TestWithParam<dyn::EngineKind> {};
 
 TEST_P(SolverSeam, ColdSolveMatchesExpectedDiamond) {

@@ -32,6 +32,7 @@
 #include "mrt/obs/obs.hpp"
 #include "mrt/par/par.hpp"
 #include "mrt/rib/rib.hpp"
+#include "mrt/sim/scenario.hpp"
 
 namespace mrt {
 namespace {
@@ -476,6 +477,121 @@ TEST(RibDifferential, WorkStealingSkewThreadInvariance) {
     ASSERT_EQ(std::get<2>(base), std::get<2>(other))
         << threads << " threads: relaxation counts diverged";
   }
+}
+
+// The rebuild skip is exact: after every frame, every flat column and a
+// dyn Bellman solver (which skips under the same rule) equal the canonical
+// forest recomputed from their own weights on the current topology —
+// 2 × 260 random frames of arc flaps, in-family relabels and node
+// crash/restart on a Gao–Rexford hierarchy and on the igp lex ladder.
+TEST(RibDifferential, ForestIsCanonicalAfterEveryFrame) {
+  constexpr int kFrames = 260;
+  long skipped = 0;
+  long rebuilt = 0;
+  for (int scenario = 0; scenario < 2; ++scenario) {
+    Rng rng(par::mix_seed(0x51BF, static_cast<std::uint64_t>(scenario)));
+    const Scenario sc = scenario == 0
+                            ? gao_rexford_hierarchy(rng, 40, 24)
+                            : mrt::testing::igp_ladder(rng, 40, 24);
+    const std::string name = scenario == 0 ? "gao_rexford" : "igp ladder";
+    const compile::WeightEngine eng(sc.alg);
+    std::vector<int> dests;
+    for (int v = 0; v < sc.net.num_nodes(); v += 3) dests.push_back(v);
+    rib::RibSolver rib(sc.alg, &eng);
+    rib.solve(sc.net, dests, sc.origin);
+    ASSERT_TRUE(rib.batched_flat()) << name;
+    std::unique_ptr<Solver> bell =
+        dyn::make_solver(dyn::EngineKind::Bellman, sc.alg);
+    bell->solve(sc.net, dests[1], sc.origin);
+    for (int f = 0; f < kFrames; ++f) {
+      const TopologyDelta d = mrt::testing::random_frame(rng, sc, rib.net());
+      const std::string what =
+          name + " frame " + std::to_string(f) + " " + d.describe();
+      rib.update(d);
+      bell->update(d);
+      ASSERT_TRUE(rib.batched_flat()) << what;
+      for (int c = 0; c < rib.num_columns(); ++c) {
+        ASSERT_TRUE(rib.column_converged(c)) << what << " col " << c;
+        const Routing& r = rib.routing(c);
+        const int dest = dests[static_cast<std::size_t>(c)];
+        expect_identical(r,
+                         mrt::testing::canonical_forest(sc.alg, rib.net(),
+                                                        dest, sc.origin, r),
+                         what + " col " + std::to_string(c));
+      }
+      ASSERT_TRUE(bell->converged()) << what;
+      expect_identical(bell->routing(),
+                       mrt::testing::canonical_forest(sc.alg, bell->net(),
+                                                      dests[1], sc.origin,
+                                                      bell->routing()),
+                       what + " dyn Bellman");
+      if (!rib.last_update().cold && rib.last_update().changed_arcs > 0) {
+        rebuilt += rib.last_update().rebuilt_columns;
+        skipped += rib.num_columns() - rib.last_update().rebuilt_columns;
+      }
+    }
+  }
+  // Both outcomes of the rule must be common, or the test shows nothing.
+  EXPECT_GT(skipped, 1000);
+  EXPECT_GT(rebuilt, 1000);
+}
+
+// RibStats::rebuilt_columns and dyn.rib.rebuilt_columns, pinned on a
+// diamond with a tie: node 3 reaches the destination 0 at cost 2 through
+// node 1 (arc a31, its witness) or node 2 (arc a32, the tying arc). The
+// same counts hold on the flat kernels, on reference columns and for a
+// dyn Bellman solver.
+TEST(Rib, RebuiltColumnsCountOnlyDirtyLanes) {
+  Digraph g(4);
+  g.add_arc(1, 0);
+  g.add_arc(2, 0);
+  const int a31 = g.add_arc(3, 1);
+  const int a32 = g.add_arc(3, 2);
+  OrderTransform ot{"chain(<=,sat+)", ord_chain(8), fam_chain_add(8, 1, 1),
+                    {}};
+  LabeledGraph net(std::move(g), {I(1), I(1), I(1), I(1)});
+  const compile::WeightEngine eng(ot);
+  const bool obs_before = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& counter =
+      obs::registry().counter("dyn.rib.rebuilt_columns");
+
+  struct Step {
+    TopologyDelta delta;
+    int rebuilt;
+    int witness;  // node 3's witness after the step (-1: no route)
+  };
+  const std::vector<Step> steps = {
+      {TopologyDelta{}.arc_down(a32), 0, a31},  // a non-witness arc goes down
+      {TopologyDelta{}.arc_up(a32), 1, a31},    // the tying arc comes back up
+      {TopologyDelta{}.arc_down(a31), 1, a32},  // the witness goes down
+      {TopologyDelta{}.arc_up(a31), 1, a31},    // a smaller tying arc returns
+  };
+  const compile::WeightEngine* const engines[] = {&eng, nullptr};
+  for (const compile::WeightEngine* weng : engines) {
+    const std::string table = weng != nullptr ? "flat" : "reference";
+    rib::RibSolver rib(ot, weng);
+    rib.solve(net, {0}, I(0));
+    ASSERT_EQ(rib.batched_flat(), weng != nullptr);
+    EXPECT_EQ(rib.last_update().rebuilt_columns, 1) << table;
+    std::unique_ptr<Solver> bell =
+        dyn::make_solver(dyn::EngineKind::Bellman, ot);
+    bell->solve(net, 0, I(0));
+    EXPECT_TRUE(bell->last_update().rebuilt);
+    for (const Step& s : steps) {
+      const std::string what = table + " " + s.delta.describe();
+      const std::uint64_t before = counter.value();
+      rib.update(s.delta);
+      bell->update(s.delta);
+      EXPECT_EQ(rib.last_update().rebuilt_columns, s.rebuilt) << what;
+      EXPECT_EQ(counter.value() - before, static_cast<std::uint64_t>(s.rebuilt))
+          << what;
+      EXPECT_EQ(bell->last_update().rebuilt, s.rebuilt == 1) << what;
+      EXPECT_EQ(rib.routing(0).next_arc[3], s.witness) << what;
+      EXPECT_EQ(bell->routing().next_arc[3], s.witness) << what;
+    }
+  }
+  obs::set_enabled(obs_before);
 }
 
 TEST(Rib, SolveBindsAndMaterializesColumns) {

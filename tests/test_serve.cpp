@@ -16,16 +16,21 @@
 //                 every table exactly as it was.
 //   demotion    — a relabel that takes a flat table off the compiled path
 //                 is a cold update, and the daemon counts it as one.
+//   diff        — the route changes a flat daemon forwards (words diffed in
+//                 the table) equal those of a reference-column daemon and a
+//                 boxed before/after diff of every column, frame by frame.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "helpers.hpp"
 #include "mrt/dyn/solver.hpp"
 #include "mrt/graph/generators.hpp"
 #include "mrt/obs/obs.hpp"
+#include "mrt/par/par.hpp"
 #include "mrt/rib/rib.hpp"
 #include "mrt/serve/serve.hpp"
 #include "mrt/sim/scenario.hpp"
@@ -327,6 +332,102 @@ TEST(Serve, DemotionCountsAsColdUpdate) {
   EXPECT_EQ(daemon.apply(TopologyDelta{}.arc_down(a10), sink), 2u);
   EXPECT_EQ(daemon.stats().warm_updates, 1u);
   EXPECT_EQ(daemon.stats().cold_updates, 1u);
+}
+
+// Three sources of route changes agree on every frame: a flat daemon (the
+// table diffs the words of its dirty lanes), a reference-column daemon (the
+// table diffs boxed Routings) and a boxed before/after diff of the flat
+// daemon's routing(c), computed here — 2 × 260 random frames on a
+// Gao–Rexford hierarchy and on the igp lex ladder. Each run also applies a
+// rejected batch and then a good frame, and the ladder run ends with a
+// relabel the compiler rejects, so the flat daemon demotes mid-stream.
+TEST(Serve, RouteChangesAgreeAcrossFlatReferenceAndBoxedDiff) {
+  constexpr int kFrames = 260;
+  constexpr int kRejectAt = 97;
+  constexpr int kDemoteAt = 230;
+  using Key = std::tuple<std::uint64_t, int, int, int, bool, bool, int>;
+  const auto key = [](const serve::RouteChange& ev) {
+    return Key{ev.update_index, ev.column, ev.dest, ev.node, ev.had_route,
+               ev.has_route, ev.next_arc};
+  };
+  long total = 0;
+  for (int scenario = 0; scenario < 2; ++scenario) {
+    Rng rng(par::mix_seed(0x5E14, static_cast<std::uint64_t>(scenario)));
+    const Scenario sc = scenario == 0 ? gao_rexford_hierarchy(rng, 40, 24)
+                                      : mrt::testing::igp_ladder(rng, 40, 24);
+    SCOPED_TRACE(scenario == 0 ? "gao_rexford" : "igp ladder");
+    const compile::WeightEngine eng(sc.alg);
+    std::vector<int> dests;
+    for (int v = 0; v < sc.net.num_nodes(); v += 3) dests.push_back(v);
+    serve::Daemon flat(sc.alg, &eng);
+    serve::Daemon ref(sc.alg);
+    flat.start(sc.net, dests, sc.origin);
+    ref.start(sc.net, dests, sc.origin);
+    ASSERT_TRUE(flat.rib().batched_flat());
+
+    std::vector<Key> from_flat;
+    std::vector<Key> from_ref;
+    const auto to_flat = [&](const serve::RouteChange& ev) {
+      from_flat.push_back(key(ev));
+    };
+    const auto to_ref = [&](const serve::RouteChange& ev) {
+      from_ref.push_back(key(ev));
+    };
+    std::vector<Routing> before(dests.size());
+    for (std::size_t c = 0; c < dests.size(); ++c) {
+      before[c] = flat.rib().routing(static_cast<int>(c));
+    }
+    for (int f = 0; f < kFrames; ++f) {
+      if (f == kRejectAt) {
+        TopologyDelta bad =
+            mrt::testing::random_frame(rng, sc, flat.rib().net());
+        bad.node_down(sc.net.num_nodes() + 3);
+        EXPECT_THROW(flat.apply(bad, to_flat), std::logic_error);
+        EXPECT_THROW(ref.apply(bad, to_ref), std::logic_error);
+      }
+      TopologyDelta d = mrt::testing::random_frame(rng, sc, flat.rib().net());
+      if (scenario == 1 && f == kDemoteAt) {
+        const Value& gr = sc.net.label(0).first().first();
+        d.relabel(0, mrt::testing::igp_label(gr, -1));
+      }
+      const std::string what =
+          "frame " + std::to_string(f) + " " + d.describe();
+      from_flat.clear();
+      from_ref.clear();
+      const std::size_t nf = flat.apply(d, to_flat);
+      const std::size_t nr = ref.apply(d, to_ref);
+      EXPECT_EQ(flat.rib().batched_flat(), scenario == 0 || f < kDemoteAt)
+          << what;
+      std::vector<Key> boxed;
+      const std::uint64_t index = flat.stats().deltas_consumed - 1;
+      for (std::size_t c = 0; c < dests.size(); ++c) {
+        const Routing& r = flat.rib().routing(static_cast<int>(c));
+        for (std::size_t v = 0; v < r.weight.size(); ++v) {
+          const bool had = before[c].weight[v].has_value();
+          const bool has = r.weight[v].has_value();
+          if (had == has &&
+              (!has || (before[c].next_arc[v] == r.next_arc[v] &&
+                        *before[c].weight[v] == *r.weight[v]))) {
+            continue;
+          }
+          boxed.push_back(Key{index, static_cast<int>(c), dests[c],
+                              static_cast<int>(v), had, has,
+                              has ? r.next_arc[v] : -1});
+        }
+        before[c] = r;
+      }
+      ASSERT_EQ(from_flat, boxed) << what;
+      ASSERT_EQ(from_ref, boxed) << what;
+      EXPECT_EQ(nf, boxed.size()) << what;
+      EXPECT_EQ(nr, boxed.size()) << what;
+      total += static_cast<long>(boxed.size());
+    }
+    EXPECT_EQ(flat.stats().route_changes, ref.stats().route_changes);
+    EXPECT_EQ(flat.stats().withdrawals, ref.stats().withdrawals);
+    EXPECT_EQ(flat.stats().deltas_consumed,
+              static_cast<std::uint64_t>(kFrames));
+  }
+  EXPECT_GT(total, 2000);
 }
 
 TEST(Serve, MissingFileAndCorruptStreamTerminateGracefully) {
