@@ -2,6 +2,7 @@
 // of the paper's figures/tables as a measured census and prints it.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +66,26 @@ double time_ms(int reps, F&& f) {
     if (ms < best) best = ms;
   }
   return best;
+}
+
+/// Best-of-`reps` wall times of two workloads, in milliseconds, timed in
+/// alternating rounds: even rounds run `a` first, odd rounds `b` first. A
+/// burst of host noise or a frequency step then lands on both sides alike
+/// instead of on whichever side always ran second.
+template <typename A, typename B>
+std::pair<double, double> time_ab_ms(int reps, A&& a, B&& b) {
+  double best_a = 1e300;
+  double best_b = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) {
+      best_a = std::min(best_a, time_ms(1, a));
+      best_b = std::min(best_b, time_ms(1, b));
+    } else {
+      best_b = std::min(best_b, time_ms(1, b));
+      best_a = std::min(best_a, time_ms(1, a));
+    }
+  }
+  return {best_a, best_b};
 }
 
 inline std::string fmt(double v) {

@@ -25,6 +25,7 @@ namespace {
 
 using bench::fmt;
 using bench::same_routing;
+using bench::time_ab_ms;
 using bench::time_ms;
 
 /// Runs `n_flaps` arc_down/arc_up pairs through `s`, with the dyn toggle
@@ -119,10 +120,9 @@ int main(int argc, char** argv) {
       const double mean_affected =
           100.0 * affected / static_cast<double>(warm_updates);
 
-      const double cold_ms =
-          time_ms(kReps, [&] { flap_loop(*cold, kFlaps, false); });
-      const double warm_ms =
-          time_ms(kReps, [&] { flap_loop(*warm, kFlaps, true); });
+      const auto [cold_ms, warm_ms] =
+          time_ab_ms(kReps, [&] { flap_loop(*cold, kFlaps, false); },
+                     [&] { flap_loop(*warm, kFlaps, true); });
       const std::string name =
           std::string(kind_name(kind)) + ".depth" + std::to_string(depth);
       report.metric("speedup.update." + name, cold_ms / warm_ms);

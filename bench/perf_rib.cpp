@@ -42,6 +42,7 @@ namespace {
 
 using bench::fmt;
 using bench::same_routing;
+using bench::time_ab_ms;
 using bench::time_ms;
 
 /// `k` destinations spread evenly over [0, n): deterministic, no RNG state
@@ -170,11 +171,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    const double single_ms = time_ms(kReps, [&] {
-      for (int d : dests) single->solve(sc.net, d, sc.origin);
-    });
-    const double batched_ms =
-        time_ms(kReps, [&] { rib.solve(sc.net, dests, sc.origin); });
+    const auto [single_ms, batched_ms] = time_ab_ms(
+        kReps,
+        [&] {
+          for (int d : dests) single->solve(sc.net, d, sc.origin);
+        },
+        [&] { rib.solve(sc.net, dests, sc.origin); });
     report.metric("speedup.rib.cold_batched", single_ms / batched_ms);
     table.add_row({"cold 1024n x 64 dests", fmt(single_ms), fmt(batched_ms),
                    fmt(single_ms / batched_ms), "-"});
@@ -186,6 +188,7 @@ int main(int argc, char** argv) {
     Scenario sc = gao_rexford_hierarchy(rng, 10000, 4000);
     const int kDests = 64;
     const int kFlaps = 8;
+    const int kWarmReps = 2;  // each cold rep is 16 full 10k-node re-solves
     const std::vector<int> dests = spread_dests(sc.net.num_nodes(), kDests);
     const compile::WeightEngine eng(sc.alg);
 
@@ -207,10 +210,9 @@ int main(int argc, char** argv) {
 
     double max_pct = 0.0;
     const double affected_pct = flap_loop(rib, kFlaps, true, &max_pct);
-    const double warm_ms =
-        time_ms(1, [&] { flap_loop(rib, kFlaps, true); });
-    const double cold_ms =
-        time_ms(1, [&] { flap_loop(rib, kFlaps, false); });
+    const auto [warm_ms, cold_ms] =
+        time_ab_ms(kWarmReps, [&] { flap_loop(rib, kFlaps, true); },
+                   [&] { flap_loop(rib, kFlaps, false); });
     report.metric("speedup.rib.warm_flaps", cold_ms / warm_ms);
     report.metric("rib.warm.affected_pct", affected_pct);
     report.metric("rib.warm.affected_max_pct", max_pct);
@@ -308,19 +310,16 @@ int main(int argc, char** argv) {
     std::vector<Routing> off;
     for (int c = 0; c < kDests; ++c) off.push_back(rib.routing(c));
 
-    // Interleave the A/B reps (best-of-kReps each) so frequency or load
-    // drift during the measurement hits both sides alike instead of biasing
-    // whichever side ran second.
-    double simd_ms = 1e300;
-    double scalar_ms = 1e300;
-    for (int r = 0; r < kReps; ++r) {
-      compile::simd::set_enabled(true);
-      simd_ms = std::min(
-          simd_ms, time_ms(1, [&] { rib.solve(sc.net, dests, sc.origin); }));
-      compile::simd::set_enabled(false);
-      scalar_ms = std::min(
-          scalar_ms, time_ms(1, [&] { rib.solve(sc.net, dests, sc.origin); }));
-    }
+    const auto [simd_ms, scalar_ms] = time_ab_ms(
+        kReps,
+        [&] {
+          compile::simd::set_enabled(true);
+          rib.solve(sc.net, dests, sc.origin);
+        },
+        [&] {
+          compile::simd::set_enabled(false);
+          rib.solve(sc.net, dests, sc.origin);
+        });
     compile::simd::set_enabled(simd_before);
 
     const bool simd_inv = same_snaps(on, off);

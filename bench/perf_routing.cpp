@@ -76,24 +76,6 @@ void BM_BellmanSync(benchmark::State& state) {
 BENCHMARK(BM_BellmanSync)->Arg(16)->Arg(64)->Arg(256)->Unit(
     benchmark::kMicrosecond);
 
-void BM_BellmanSyncCompiled(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const OrderTransform alg = stacked(2);
-  Rng rng(42);
-  LabeledGraph net = label_randomly(alg, random_connected(rng, n, 2 * n), rng);
-  const Value origin = stacked_origin(2);
-  const compile::WeightEngine eng(alg);
-  const compile::CompiledNet cn = compile::CompiledNet::make(eng, net);
-  for (auto _ : state) {
-    BellmanResult r = bellman_sync(alg, net, 0, origin, {},
-                                   cn.ok() ? &cn : nullptr);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BellmanSyncCompiled)->Arg(16)->Arg(64)->Arg(256)->Unit(
-    benchmark::kMicrosecond);
-
 void BM_MinSetBellman(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   // Genuinely partial order: subsets with monotone mask-or functions.

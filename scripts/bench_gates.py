@@ -89,8 +89,6 @@ GATES = [
     ("chaos@4", "threads/effective", "==", 4),
     ("perf_compile@1", M + "speedup.dijkstra.depth3", ">=", 2.0),
     ("perf_compile@1", M + "speedup.dijkstra.depth4", ">=", 2.0),
-    ("perf_compile@1", M + "speedup.bellman.depth3", ">=", 2.0),
-    ("perf_compile@1", M + "speedup.bellman.depth4", ">=", 2.0),
     ("perf_compile@1", M + "fallbacks", "==", 0),
     ("chaos.boxed@1", "wall_s", "ratio>=", 1.5, "chaos@1"),
     ("perf_dyn@1", M + "speedup.update.dijkstra.depth1", ">=", 2.0),

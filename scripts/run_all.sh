@@ -3,7 +3,8 @@
 #
 # Usage: scripts/run_all.sh [tsan|asan] [--preset <name>] [--labels <regex>]
 #   tsan — build with -DMRT_SANITIZE=thread into build-tsan and run the
-#          concurrency-sensitive suites (mrt::par + simulator) under
+#          concurrency-sensitive suites (mrt::par, the simulator, the
+#          compiled kernels and the row-parallel closures) under
 #          ThreadSanitizer with MRT_THREADS=4, then exit.
 #   asan — build with -DMRT_SANITIZE=address,undefined into build-asan and
 #          run the chaos campaigns, the simulator suites, the batched
@@ -140,7 +141,7 @@ if [ "${ARGS[0]:-}" = "tsan" ]; then
   cmake -B build-tsan -DMRT_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc)" --target mrt_tests mrt_perf_tests
   MRT_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
-    -R 'Par|Sim|PathVector|EventQueue|Compile'
+    -R 'Par|Sim|PathVector|EventQueue|Compile|Closure'
   echo "tsan preset passed"
   exit 0
 fi

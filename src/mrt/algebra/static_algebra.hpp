@@ -6,7 +6,8 @@
 // the combinators are class templates, and the exact property rules of
 // Theorems 4–6 are `constexpr` booleans — so a routing algorithm can
 // `static_assert` its own correctness conditions and the whole weight
-// pipeline inlines to straight-line code (see bench/perf_static_vs_dynamic).
+// pipeline inlines to straight-line code (see bench/perf_routing's
+// BM_StaticDijkstra against BM_DynamicDijkstraSameAlgebra).
 //
 // A static order transform is a type providing:
 //   value_type, label_type

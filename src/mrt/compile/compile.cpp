@@ -39,7 +39,6 @@ const char* fallback_name(Fallback f) {
     case Fallback::TooDeep: return "too_deep";
     case Fallback::TooWide: return "too_wide";
     case Fallback::BadLabel: return "bad_label";
-    case Fallback::LexNoIdentity: return "lex_no_identity";
   }
   return "unknown";
 }

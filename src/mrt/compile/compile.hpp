@@ -46,7 +46,6 @@ enum class Fallback {
   TooDeep,        // nesting exceeds the fixed evaluator stack
   TooWide,        // layout exceeds the addressable slot range
   BadLabel,       // a concrete arc label failed to compile
-  LexNoIdentity,  // lex semigroup whose T factor has no identity α_T
 };
 const char* fallback_name(Fallback f);
 

@@ -1,8 +1,9 @@
 // The WeightEngine seam: one compiled kernel set per algebra, one set of
-// precompiled per-arc label programs per network. Consumers (dijkstra,
-// bellman, closure, the path-vector simulator) take an optional CompiledNet;
-// when present and fully compiled they run the flat kernels, otherwise they
-// fall back to the boxed interpreter — always with identical results.
+// precompiled per-arc label programs per network. Consumers take an
+// optional CompiledNet (dijkstra) or WeightEngine (the dyn engines, the
+// batched RIB, the path-vector simulator); when present and fully compiled
+// they run the flat kernels, otherwise they fall back to the boxed
+// interpreter — always with identical results.
 #pragma once
 
 #include <memory>

@@ -82,18 +82,6 @@ class ExtNatSemigroup : public Semigroup {
     return sample_ext_nat(rng, n, with_inf_);
   }
 
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    switch (op_) {
-      case Op::Min: d.k = SemigroupDesc::K::MinNat; break;
-      case Op::Max: d.k = SemigroupDesc::K::MaxNat; break;
-      case Op::Plus: d.k = SemigroupDesc::K::PlusNat; break;
-      case Op::Times: d.k = SemigroupDesc::K::TimesNat; break;
-    }
-    d.with_inf = with_inf_;
-    return d;
-  }
-
  private:
   Op op_;
   bool with_inf_;
@@ -135,13 +123,6 @@ class UnitRealSemigroup : public Semigroup {
       out.push_back(Value::real(static_cast<double>(rng.range(0, 16)) / 16.0));
     }
     return out;
-  }
-
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = op_ == Op::Max ? SemigroupDesc::K::MaxReal
-                         : SemigroupDesc::K::TimesReal;
-    return d;
   }
 
  private:
@@ -204,17 +185,6 @@ class ChainSemigroup : public Semigroup {
     return out;
   }
 
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    switch (op_) {
-      case Op::Min: d.k = SemigroupDesc::K::ChainMin; break;
-      case Op::Max: d.k = SemigroupDesc::K::ChainMax; break;
-      case Op::SatPlus: d.k = SemigroupDesc::K::ChainPlus; break;
-    }
-    d.n = n_;
-    return d;
-  }
-
  private:
   Op op_;
   int n_;
@@ -240,13 +210,6 @@ class ModPlusSemigroup : public Semigroup {
     return out;
   }
 
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = SemigroupDesc::K::PlusMod;
-    d.n = n_;
-    return d;
-  }
-
  private:
   int n_;
 };
@@ -269,13 +232,6 @@ class ProjSemigroup : public Semigroup {
     ValueVec out;
     for (int i = 0; i < n_; ++i) out.push_back(Value::integer(i));
     return out;
-  }
-
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = left_ ? SemigroupDesc::K::LeftProj : SemigroupDesc::K::RightProj;
-    d.n = n_;
-    return d;
   }
 
  private:
@@ -314,13 +270,6 @@ class BitsSemigroup : public Semigroup {
       out.push_back(Value::integer(m));
     }
     return out;
-  }
-
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = union_ ? SemigroupDesc::K::UnionBits : SemigroupDesc::K::InterBits;
-    d.n = k_;
-    return d;
   }
 
  private:
@@ -386,14 +335,6 @@ class TableSemigroup : public Semigroup {
       out.push_back(Value::integer(static_cast<std::int64_t>(i)));
     }
     return out;
-  }
-
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = SemigroupDesc::K::Table;
-    d.n = static_cast<int>(table_.size());
-    d.table = table_;
-    return d;
   }
 
  private:

@@ -1,14 +1,15 @@
 // Structural self-description of algebra components, for mrt::compile.
 //
-// Every concrete PreorderSet / FunctionFamily / Semigroup can report the
-// shape it was built from as a small descriptor tree. The compiler walks
-// these trees to lay out flat weight words and emit fused kernels; anything
-// that reports Opaque (the default) compiles to an explicit boxed fallback.
+// Every concrete PreorderSet / FunctionFamily can report the shape it was
+// built from as a small descriptor tree. The compiler walks these trees to
+// lay out flat weight words and emit fused kernels; anything that reports
+// Opaque (the default) compiles to an explicit boxed fallback.
 //
 // Descriptors are *shape only*: they carry the constructor parameters that
-// determine semantics (carrier size, ∞-presence, finite leq/op tables), not
-// behaviour. The differential property suite (tests/test_compile.cpp) pins
-// each descriptor's compiled kernels against the boxed virtuals.
+// determine semantics (carrier size, ∞-presence, finite leq/function
+// tables), not behaviour. The differential property suite
+// (tests/test_compile.cpp) pins each descriptor's compiled kernels against
+// the boxed virtuals.
 #pragma once
 
 #include <cstdint>
@@ -63,35 +64,6 @@ struct FamilyDesc {
   int n = 0;                          // ChainAdd cap / Table carrier size
   std::vector<std::vector<int>> fns;  // Table: fns[label][a]
   std::vector<FamilyDesc> kids;
-};
-
-/// Shape of a Semigroup (for mrt::compile's closure path).
-struct SemigroupDesc {
-  enum class K {
-    Opaque,
-    MinNat,     // (ℕ[∪{∞}], min)
-    MaxNat,     // (ℕ[∪{∞}], max)
-    PlusNat,    // (ℕ[∪{∞}], +) saturating at ∞
-    TimesNat,   // (ℕ[∪{∞}], ×) saturating at ∞ (0·∞ = ∞, documented)
-    MaxReal,    // ([0,1], max)
-    TimesReal,  // ([0,1], ×)
-    ChainMin,   // ({0..n}, min)
-    ChainMax,   // ({0..n}, max)
-    ChainPlus,  // ({0..n}, min(n, a+b))
-    PlusMod,    // (ℤ_n, + mod n)
-    LeftProj,   // ({0..n-1}, a)
-    RightProj,  // ({0..n-1}, b)
-    UnionBits,  // subsets of {0..n-1}, ∪
-    InterBits,  // subsets of {0..n-1}, ∩
-    Table,      // finite {0..n-1} with explicit op table
-    Lex,        // lexicographic product (Theorem 2 construction)
-    Direct,     // direct product
-  };
-  K k = K::Opaque;
-  bool with_inf = false;
-  int n = 0;
-  std::vector<std::vector<int>> table;  // Table: op[a][b]
-  std::vector<SemigroupDesc> kids;
 };
 
 }  // namespace mrt

@@ -79,13 +79,6 @@ class LexSemigroup : public Semigroup {
     return out;
   }
 
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = SemigroupDesc::K::Lex;
-    d.kids = {s_->describe(), t_->describe()};
-    return d;
-  }
-
  protected:
   SemigroupPtr s_, t_;
 };
@@ -141,13 +134,6 @@ class DirectSemigroup : public Semigroup {
                                 ys[static_cast<std::size_t>(i)]));
     }
     return out;
-  }
-
-  SemigroupDesc describe() const override {
-    SemigroupDesc d;
-    d.k = SemigroupDesc::K::Direct;
-    d.kids = {s_->describe(), t_->describe()};
-    return d;
   }
 
  private:

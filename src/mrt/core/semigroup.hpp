@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 
-#include "mrt/core/describe.hpp"
 #include "mrt/core/value.hpp"
 #include "mrt/support/rng.hpp"
 
@@ -41,10 +40,6 @@ class Semigroup {
   /// `n` carrier elements for randomized checking. The default draws from
   /// `enumerate()`; infinite carriers must override.
   virtual ValueVec sample(Rng& rng, int n) const;
-
-  /// Structural shape for mrt::compile; Opaque (the default) means "not
-  /// compilable" and routes consumers to the boxed interpreter.
-  virtual SemigroupDesc describe() const { return {}; }
 };
 
 using SemigroupPtr = std::shared_ptr<const Semigroup>;

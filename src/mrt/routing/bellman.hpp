@@ -8,7 +8,6 @@
 // event-driven protocol lives in mrt/sim.
 #pragma once
 
-#include "mrt/compile/engine.hpp"
 #include "mrt/routing/labeled_graph.hpp"
 
 namespace mrt {
@@ -26,17 +25,12 @@ struct BellmanOptions {
 /// Routes are sticky (BGP-like): a node keeps its current route while that
 /// route is still available and no candidate is strictly better; otherwise
 /// ties break toward the smaller arc id.
-///
-/// When `cn` is non-null and fully compiled, the iteration state lives as
-/// flat weight words for the whole run (decoded only into the returned
-/// routing); results are identical to the boxed path.
 BellmanResult bellman_sync(const OrderTransform& alg, const LabeledGraph& net,
                            int dest, const Value& origin,
-                           const BellmanOptions& opts = {},
-                           const compile::CompiledNet* cn = nullptr);
+                           const BellmanOptions& opts = {});
 
-/// One synchronous update step of bellman_sync's boxed iteration (exposed
-/// for tests): returns true if any node's route changed.
+/// One synchronous update step of bellman_sync's iteration (exposed for
+/// tests): returns true if any node's route changed.
 bool bellman_step(const OrderTransform& alg, const LabeledGraph& net,
                   int dest, const Value& origin, Routing& r);
 

@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "mrt/compile/semiring.hpp"
 #include "mrt/core/quadrants.hpp"
 #include "mrt/graph/digraph.hpp"
 
@@ -43,17 +42,13 @@ struct ClosureResult {
 
 /// Floyd–Warshall–Kleene elimination: exact for ⊕-idempotent, nondecreasing
 /// algebras (simple-path-summarizing semirings).
-///
-/// When `cb` is non-null and compiled, the elimination runs on flat weight
-/// words with the fused ⊕/⊗ kernels — same update order, identical entries.
-ClosureResult kleene_closure(const Bisemigroup& alg, WeightMatrix a,
-                             const compile::CompiledBisemigroup* cb = nullptr);
+ClosureResult kleene_closure(const Bisemigroup& alg, WeightMatrix a);
 
 /// Power iteration: B ← I ⊕ A ⊗ B until fixpoint or the bound; also valid
-/// for non-idempotent algebras on DAGs (e.g. path counting).
+/// for non-idempotent algebras on DAGs (e.g. path counting). Without a
+/// ⊗-identity it iterates B ← A ⊕ A ⊗ B from B = ∅ instead, which gives
+/// A⁺ (no empty walk), matching kleene_closure's diagonal.
 ClosureResult iterative_closure(const Bisemigroup& alg, const WeightMatrix& a,
-                                const ClosureOptions& opts = {},
-                                const compile::CompiledBisemigroup* cb =
-                                    nullptr);
+                                const ClosureOptions& opts = {});
 
 }  // namespace mrt

@@ -13,7 +13,6 @@
 // a fixed point: the k best distinct *walk* weights toward the destination.
 #pragma once
 
-#include "mrt/compile/engine.hpp"
 #include "mrt/routing/labeled_graph.hpp"
 
 namespace mrt {
@@ -38,16 +37,9 @@ struct KBestOptions {
   int max_iterations = 300;
 };
 
-/// When `cn` is non-null and fully compiled, the iteration state lives as
-/// flat weight words: pooling, reduction, and the fixed-point test all run
-/// on words, with Values materialized only in the returned result (and for
-/// the canonical tie-break between distinct-but-equivalent weights, which
-/// decodes on demand). Results are byte-identical to the boxed path — the
-/// encoding is injective, so word equality is value equality.
 KBestResult kbest_bellman(const OrderTransform& alg, const LabeledGraph& net,
                           int dest, const Value& origin, int k,
-                          const KBestOptions& opts = {},
-                          const compile::CompiledNet* cn = nullptr);
+                          const KBestOptions& opts = {});
 
 /// Certificate check: every reported weight is either the origin (at dest)
 /// or a one-arc extension of a reported weight of some successor — i.e. the

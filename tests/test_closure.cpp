@@ -5,6 +5,7 @@
 
 #include "helpers.hpp"
 #include "mrt/core/bases.hpp"
+#include "mrt/core/combinators.hpp"
 #include "mrt/graph/generators.hpp"
 #include "mrt/routing/closure.hpp"
 #include "mrt/routing/dijkstra.hpp"
@@ -93,19 +94,30 @@ TEST(KleeneClosure, MatchesDijkstraOnRandomNetworks) {
 }
 
 TEST(IterativeClosure, AgreesWithKleeneOnIdempotentAlgebras) {
-  const Bisemigroup sp = bs_shortest_path();
-  Rng rng(0xC106);
-  for (int trial = 0; trial < 8; ++trial) {
-    Digraph g = random_connected(rng, 6, 4);
-    ValueVec w;
-    for (int id = 0; id < g.num_arcs(); ++id) {
-      w.push_back(I(rng.range(1, 5)));
+  // min over ℕ has no identity, so the widest-path and lex closures carry
+  // no empty walk: both schemes must then agree on A⁺.
+  struct Case {
+    Bisemigroup alg;
+    bool lex_weights;  // arc weights are (distance, width) pairs
+  };
+  const Bisemigroup sp_bw = lex(bs_shortest_path(), bs_widest_path());
+  for (const Case& c : {Case{bs_shortest_path(), false},
+                        Case{bs_widest_path(), false}, Case{sp_bw, true}}) {
+    Rng rng(0xC106);
+    for (int trial = 0; trial < 8; ++trial) {
+      Digraph g = random_connected(rng, 6, 4);
+      ValueVec w;
+      for (int id = 0; id < g.num_arcs(); ++id) {
+        Value x = I(rng.range(1, 5));
+        if (c.lex_weights) x = Value::pair(std::move(x), I(rng.range(0, 9)));
+        w.push_back(std::move(x));
+      }
+      const WeightMatrix a = arc_matrix(c.alg, g, w);
+      const ClosureResult kc = kleene_closure(c.alg, a);
+      const ClosureResult it = iterative_closure(c.alg, a);
+      ASSERT_TRUE(it.converged) << c.alg.name << " trial " << trial;
+      EXPECT_EQ(kc.star, it.star) << c.alg.name << " trial " << trial;
     }
-    const WeightMatrix a = arc_matrix(sp, g, w);
-    const ClosureResult kc = kleene_closure(sp, a);
-    const ClosureResult it = iterative_closure(sp, a);
-    ASSERT_TRUE(it.converged);
-    EXPECT_EQ(kc.star, it.star);
   }
 }
 

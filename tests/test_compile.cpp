@@ -4,8 +4,8 @@
 //   - encode/decode round-trips losslessly on every carrier element reached;
 //   - compare/is_top/apply agree with ord->cmp / ord->is_top / fns->apply on
 //     ≥1000 random finite algebras plus the paper algebras at depth;
-//   - the compiled solvers (dijkstra, bellman, closure) and the compiled
-//     simulator produce results identical to their boxed twins;
+//   - compiled Dijkstra and the compiled simulator produce results
+//     identical to their boxed twins;
 //   - every paper algebra used by the benches compiles (fallback == none).
 //
 // Everything is seeded; nothing here depends on MRT_THREADS (the campaign
@@ -16,14 +16,11 @@
 
 #include "mrt/chaos/campaign.hpp"
 #include "mrt/compile/engine.hpp"
-#include "mrt/compile/semiring.hpp"
 #include "mrt/core/bases.hpp"
 #include "mrt/core/combinators.hpp"
 #include "mrt/core/random_algebra.hpp"
 #include "mrt/graph/generators.hpp"
 #include "mrt/par/par.hpp"
-#include "mrt/routing/bellman.hpp"
-#include "mrt/routing/closure.hpp"
 #include "mrt/routing/dijkstra.hpp"
 #include "mrt/sim/path_vector.hpp"
 
@@ -31,7 +28,6 @@ namespace mrt {
 namespace {
 
 using compile::CompiledAlgebra;
-using compile::CompiledBisemigroup;
 using compile::CompiledNet;
 using compile::Fallback;
 using compile::WeightEngine;
@@ -156,37 +152,6 @@ TEST(CompileProperty, PaperAlgebrasCompileAndAgreeAtDepth) {
   }
 }
 
-TEST(CompileProperty, CompiledBisemigroupAgreesWithBoxed) {
-  const std::vector<Bisemigroup> algs = {
-      bs_shortest_path(), bs_widest_path(), bs_path_count(),
-      lex(bs_shortest_path(), bs_widest_path())};
-  for (const Bisemigroup& alg : algs) {
-    const CompiledBisemigroup cb = CompiledBisemigroup::compile(alg);
-    ASSERT_TRUE(cb.ok()) << alg.name << " fell back: "
-                         << compile::fallback_name(cb.fallback());
-    Rng rng(7);
-    const ValueVec xs = alg.add->sample(rng, 10);
-    std::vector<std::uint64_t> wa(static_cast<std::size_t>(cb.words()));
-    std::vector<std::uint64_t> wb(static_cast<std::size_t>(cb.words()));
-    std::vector<std::uint64_t> wo(static_cast<std::size_t>(cb.words()));
-    for (const Value& x : xs) {
-      ASSERT_TRUE(cb.encode(x, wa.data())) << x.to_string() << " " << alg.name;
-      EXPECT_TRUE(cb.decode(wa.data()) == x) << alg.name;
-      for (const Value& y : xs) {
-        ASSERT_TRUE(cb.encode(y, wb.data()));
-        cb.add(wa.data(), wb.data(), wo.data());
-        EXPECT_TRUE(cb.decode(wo.data()) == alg.add->op(x, y))
-            << "add(" << x.to_string() << ", " << y.to_string() << ") in "
-            << alg.name;
-        cb.mul(wa.data(), wb.data(), wo.data());
-        EXPECT_TRUE(cb.decode(wo.data()) == alg.mul->op(x, y))
-            << "mul(" << x.to_string() << ", " << y.to_string() << ") in "
-            << alg.name;
-      }
-    }
-  }
-}
-
 void expect_same_routing(const Routing& a, const Routing& b) {
   ASSERT_EQ(a.weight.size(), b.weight.size());
   for (std::size_t v = 0; v < a.weight.size(); ++v) {
@@ -214,49 +179,7 @@ TEST(CompileSolvers, DijkstraAndBellmanMatchBoxedExactly) {
       ASSERT_TRUE(cn.ok());
       expect_same_routing(dijkstra(alg, net, 0, origin),
                           dijkstra(alg, net, 0, origin, &cn));
-      const BellmanResult boxed = bellman_sync(alg, net, 0, origin);
-      const BellmanResult flat = bellman_sync(alg, net, 0, origin, {}, &cn);
-      EXPECT_EQ(boxed.converged, flat.converged);
-      EXPECT_EQ(boxed.iterations, flat.iterations);
-      expect_same_routing(boxed.routing, flat.routing);
     }
-  }
-}
-
-TEST(CompileSolvers, ClosureMatchesBoxedExactly) {
-  for (const Bisemigroup& alg :
-       {bs_shortest_path(), bs_widest_path(),
-        lex(bs_shortest_path(), bs_widest_path())}) {
-    const CompiledBisemigroup cb = CompiledBisemigroup::compile(alg);
-    ASSERT_TRUE(cb.ok()) << alg.name;
-    Rng rng(11);
-    Digraph g = random_connected(rng, 24, 60);
-    ValueVec w;
-    for (int id = 0; id < g.num_arcs(); ++id) {
-      Value x = Value::integer(rng.range(1, 9));
-      if (alg.name == lex(bs_shortest_path(), bs_widest_path()).name) {
-        x = Value::pair(std::move(x), Value::integer(rng.range(0, 9)));
-      }
-      w.push_back(std::move(x));
-    }
-    const WeightMatrix a = arc_matrix(alg, g, w);
-    const ClosureResult boxed = kleene_closure(alg, a);
-    const ClosureResult flat = kleene_closure(alg, a, &cb);
-    ASSERT_EQ(boxed.star.size(), flat.star.size());
-    for (std::size_t i = 0; i < boxed.star.size(); ++i) {
-      for (std::size_t j = 0; j < boxed.star[i].size(); ++j) {
-        ASSERT_EQ(boxed.star[i][j].has_value(), flat.star[i][j].has_value())
-            << alg.name << " (" << i << "," << j << ")";
-        if (boxed.star[i][j]) {
-          EXPECT_TRUE(*boxed.star[i][j] == *flat.star[i][j])
-              << alg.name << " (" << i << "," << j << ")";
-        }
-      }
-    }
-    const ClosureResult bi = iterative_closure(alg, a);
-    const ClosureResult fi = iterative_closure(alg, a, {}, &cb);
-    EXPECT_EQ(bi.converged, fi.converged);
-    EXPECT_EQ(bi.iterations, fi.iterations);
   }
 }
 
@@ -338,8 +261,6 @@ TEST(CompileEngine, OpaqueAlgebraReportsFallbackReason) {
   EXPECT_TRUE(ca.ok());
   EXPECT_STREQ(compile::fallback_name(Fallback::OpaqueOrder), "opaque_order");
   EXPECT_STREQ(compile::fallback_name(Fallback::None), "none");
-  EXPECT_STREQ(compile::fallback_name(Fallback::LexNoIdentity),
-               "lex_no_identity");
 }
 
 }  // namespace

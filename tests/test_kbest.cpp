@@ -214,35 +214,6 @@ TEST(KBestBellman, MatchesBoundedWalkEnumeration) {
   }
 }
 
-TEST(KBestBellman, CompiledPathIsByteIdenticalToBoxed) {
-  // The flat k-best iteration keeps state as weight words and decodes only
-  // at the end (plus equivalence tie-breaks); because the encoding is
-  // injective, its results must match the boxed path byte for byte —
-  // weights, iteration count, and convergence flag alike.
-  Rng rng(0x6BE60);
-  for (int trial = 0; trial < 12; ++trial) {
-    const OrderTransform sp = ot_shortest_path(4 + trial % 5);
-    Digraph g = random_connected(rng, 5 + trial % 4, 3 + trial % 3);
-    LabeledGraph net = label_randomly(sp, std::move(g), rng);
-    const compile::WeightEngine eng(sp);
-    const compile::CompiledNet cn = compile::CompiledNet::make(eng, net);
-    ASSERT_TRUE(cn.ok()) << "trial " << trial;
-    const int k = 1 + trial % 4;
-    const KBestResult boxed = kbest_bellman(sp, net, 0, I(0), k);
-    const KBestResult flat = kbest_bellman(sp, net, 0, I(0), k, {}, &cn);
-    ASSERT_EQ(boxed.converged, flat.converged) << "trial " << trial;
-    ASSERT_EQ(boxed.iterations, flat.iterations) << "trial " << trial;
-    ASSERT_EQ(boxed.weights.size(), flat.weights.size());
-    for (std::size_t v = 0; v < boxed.weights.size(); ++v) {
-      EXPECT_EQ(boxed.weights[v], flat.weights[v])
-          << "trial " << trial << " node " << v;
-      EXPECT_EQ(boxed.witness_arcs[v], flat.witness_arcs[v])
-          << "trial " << trial << " node " << v;
-    }
-    EXPECT_TRUE(kbest_certified(sp, net, 0, I(0), flat)) << "trial " << trial;
-  }
-}
-
 TEST(KBestBellman, KEqualsOneIsPlainBellman) {
   Rng rng(0x6BE59);
   const OrderTransform bw = ot_widest_path(5);
