@@ -8,8 +8,9 @@
 #          ThreadSanitizer with MRT_THREADS=4, then exit.
 #   asan — build with -DMRT_SANITIZE=address,undefined into build-asan and
 #          run the chaos campaigns, the simulator suites, the batched
-#          routing tables (rib + the dyn seam under them) and the serve
-#          tier under AddressSanitizer + UBSan, then exit.
+#          routing tables (rib + the dyn seam under them), the label-family
+#          membership suite and the serve tier under AddressSanitizer +
+#          UBSan, then exit.
 #   --preset dyn — tsan build focused on the incremental solvers: runs the
 #          mrt::dyn seam suites plus the differential property suite under
 #          ThreadSanitizer with MRT_THREADS=4, then exit.
@@ -156,12 +157,12 @@ if [ "${ARGS[0]:-}" = "asan" ]; then
   ctest --test-dir build-asan --output-on-failure -L chaos
   ctest --test-dir build-asan --output-on-failure \
     -R 'Sim|PathVector|EventQueue'
-  # The routing tables and the daemon: a demotion frees the flat blocks and
-  # binds reference columns in the middle of a table's life, and a rejected
-  # batch must leave every table untouched.
+  # The routing tables, the daemon and the label families: a bad label
+  # must be refused before any wrong-kind Value accessor runs on it, and a
+  # rejected batch must leave every table untouched.
   ctest --test-dir build-asan --output-on-failure -L serve
   ctest --test-dir build-asan --output-on-failure \
-    -R 'Rib|DynNet|DynDifferential|SolverSeam'
+    -R 'Rib|DynNet|DynDifferential|SolverSeam|FnFamily'
   echo "asan preset passed"
   exit 0
 fi

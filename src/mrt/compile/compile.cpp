@@ -450,8 +450,20 @@ bool CompiledAlgebra::align_family(const FamilyDesc& fd, int node, int* out) {
       fallback_ = Fallback::OpaqueFamily;
       return false;
     case FK::Id:
-    case FK::Const:
-      break;  // valid on any node; Const encodes its label per arc
+      break;
+    case FK::Const: {
+      // Valid on any node; Const encodes its label per arc. A listed value
+      // the carrier cannot encode would be a family member without a
+      // program, so such a family does not compile at all.
+      std::vector<std::uint64_t> tmp(static_cast<std::size_t>(words_), 0);
+      for (const Value& v : fd.consts) {
+        if (!encode_node(v, node, tmp.data())) {
+          fallback_ = Fallback::BadLabel;
+          return false;
+        }
+      }
+      break;
+    }
     case FK::AddConst:
     case FK::MinConst:
       if (nd.k != OK::NatAsc && nd.k != OK::NatDesc) return mismatch();

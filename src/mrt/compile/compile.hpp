@@ -45,7 +45,8 @@ enum class Fallback {
   TableTooLarge,  // finite table carrier exceeds 64 elements
   TooDeep,        // nesting exceeds the fixed evaluator stack
   TooWide,        // layout exceeds the addressable slot range
-  BadLabel,       // a concrete arc label failed to compile
+  BadLabel,       // a concrete arc label, or a listed constant of the
+                  // family, failed to compile
 };
 const char* fallback_name(Fallback f);
 

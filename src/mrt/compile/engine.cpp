@@ -4,6 +4,7 @@
 #include <string>
 
 #include "mrt/obs/metrics.hpp"
+#include "mrt/support/require.hpp"
 
 namespace mrt {
 namespace compile {
@@ -58,14 +59,12 @@ CompiledNet CompiledNet::make(const WeightEngine& eng,
   return cn;
 }
 
-bool CompiledNet::relabel(int arc_id, const Value& label) {
-  if (labels_.empty()) return ok_;  // algebra never compiled: stays boxed
-  labels_[static_cast<std::size_t>(arc_id)] = alg_->compile_label(label);
-  bool all_ok = true;
-  for (const CompiledLabel& l : labels_) all_ok = all_ok && l.ok;
-  ok_ = all_ok;
+void CompiledNet::relabel(int arc_id, const Value& label) {
+  if (!ok_) return;
+  CompiledLabel& cl = labels_[static_cast<std::size_t>(arc_id)];
+  cl = alg_->compile_label(label);
+  MRT_ASSERT(cl.ok);
   if (obs::enabled()) obs::registry().counter("compile.labels_recompiled").add(1);
-  return ok_;
 }
 
 }  // namespace compile

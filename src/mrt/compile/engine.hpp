@@ -36,6 +36,7 @@ class WeightEngine {
 /// Per-network compiled state: one apply program per arc. ok() requires the
 /// engine compiled AND every arc label compiled — a single bad label sends
 /// the whole network to the boxed path (counted as compile.fallback.bad_label).
+/// ok() is decided once, by make(), and holds for the binding's life.
 class CompiledNet {
  public:
   static CompiledNet make(const WeightEngine& eng, const LabeledGraph& net);
@@ -47,11 +48,12 @@ class CompiledNet {
     return labels_[static_cast<std::size_t>(arc_id)];
   }
 
-  /// Recompiles one arc's label program in place (the delta-aware path of
-  /// mrt::dyn — a relabel re-encodes only the changed arc, not the network).
-  /// Returns the new ok(): a label outside the compilable range sends the
-  /// whole network back to the boxed path, exactly as in make().
-  bool relabel(int arc_id, const Value& label);
+  /// Stores one arc's new label program (the delta-aware path of mrt::dyn —
+  /// a relabel re-encodes only the changed arc, not the network). The
+  /// label must be a member of the algebra's family, which dyn::DynNet
+  /// checks before a batch applies; every member of a compiled family
+  /// compiles. A net that is not ok() keeps no programs.
+  void relabel(int arc_id, const Value& label);
 
  private:
   const CompiledAlgebra* alg_ = nullptr;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <utility>
 
 #include "mrt/core/bases.hpp"
@@ -7,10 +8,17 @@
 namespace mrt {
 namespace {
 
+bool int_in(const Value& label, std::int64_t lo, std::int64_t hi) {
+  return label.is_int() && lo <= label.as_int() && label.as_int() <= hi;
+}
+
 class IdFamily : public FunctionFamily {
  public:
   std::string name() const override { return "{id}"; }
   Value apply(const Value&, const Value& a) const override { return a; }
+  bool contains(const Value& label) const override {
+    return label.kind() == Value::Kind::Unit;
+  }
   std::optional<ValueVec> labels() const override {
     return ValueVec{Value::unit()};
   }
@@ -31,10 +39,14 @@ class ConstFamily : public FunctionFamily {
   Value apply(const Value& label, const Value&) const override {
     return label;  // κ_b indexed by b itself
   }
+  bool contains(const Value& label) const override {
+    return std::find(values_.begin(), values_.end(), label) != values_.end();
+  }
   std::optional<ValueVec> labels() const override { return values_; }
   FamilyDesc describe() const override {
     FamilyDesc d;
     d.k = FamilyDesc::K::Const;
+    d.consts = values_;
     return d;
   }
 
@@ -53,6 +65,9 @@ class AddConstFamily : public FunctionFamily {
   }
   Value apply(const Value& label, const Value& a) const override {
     return ext_add(a, label);
+  }
+  bool contains(const Value& label) const override {
+    return int_in(label, lo_, hi_);
   }
   std::optional<ValueVec> labels() const override {
     ValueVec out;
@@ -81,6 +96,9 @@ class MinConstFamily : public FunctionFamily {
   Value apply(const Value& label, const Value& a) const override {
     return ext_min(a, label);
   }
+  bool contains(const Value& label) const override {
+    return label.is_inf() || int_in(label, lo_, hi_);
+  }
   std::optional<ValueVec> labels() const override {
     ValueVec out;
     for (std::int64_t c = lo_; c <= hi_; ++c) out.push_back(Value::integer(c));
@@ -107,6 +125,11 @@ class MulConstRealFamily : public FunctionFamily {
   std::string name() const override { return "{*c}"; }
   Value apply(const Value& label, const Value& a) const override {
     return Value::real(label.as_real() * a.as_real());
+  }
+  bool contains(const Value& label) const override {
+    return label.kind() == Value::Kind::Real &&
+           std::find(factors_.begin(), factors_.end(), label.as_real()) !=
+               factors_.end();
   }
   std::optional<ValueVec> labels() const override {
     ValueVec out;
@@ -135,6 +158,9 @@ class ChainAddFamily : public FunctionFamily {
   Value apply(const Value& label, const Value& a) const override {
     return Value::integer(
         std::min<std::int64_t>(n_, a.as_int() + label.as_int()));
+  }
+  bool contains(const Value& label) const override {
+    return int_in(label, lo_, hi_);
   }
   std::optional<ValueVec> labels() const override {
     ValueVec out;
@@ -170,6 +196,9 @@ class TableFamily : public FunctionFamily {
     const auto x = static_cast<std::size_t>(a.as_int());
     MRT_REQUIRE(x < static_cast<std::size_t>(n_));
     return Value::integer(fns_[f][x]);
+  }
+  bool contains(const Value& label) const override {
+    return int_in(label, 0, static_cast<std::int64_t>(fns_.size()) - 1);
   }
   std::optional<ValueVec> labels() const override {
     ValueVec out;

@@ -94,6 +94,9 @@ class LexOmegaFamily : public FunctionFamily {
     if (s_ord_->is_top(out.first())) return Value::omega();
     return out;
   }
+  bool contains(const Value& label) const override {
+    return pair_->contains(label);
+  }
   std::optional<ValueVec> labels() const override { return pair_->labels(); }
   ValueVec sample_labels(Rng& rng, int n) const override {
     return pair_->sample_labels(rng, n);
@@ -124,6 +127,9 @@ class LexOmegaStFamily : public FunctionFamily {
     Value out = pair_->apply(label, a);
     if (out.first() == omega_s_) return Value::omega();
     return out;
+  }
+  bool contains(const Value& label) const override {
+    return pair_->contains(label);
   }
   std::optional<ValueVec> labels() const override { return pair_->labels(); }
   ValueVec sample_labels(Rng& rng, int n) const override {
@@ -188,6 +194,9 @@ class AddTopFamily : public FunctionFamily {
   Value apply(const Value& label, const Value& a) const override {
     if (a.is_omega()) return Value::omega();
     return f_->apply(label, a);
+  }
+  bool contains(const Value& label) const override {
+    return f_->contains(label);
   }
   std::optional<ValueVec> labels() const override { return f_->labels(); }
   ValueVec sample_labels(Rng& rng, int n) const override {

@@ -7,13 +7,15 @@
 //
 // Descriptors are *shape only*: they carry the constructor parameters that
 // determine semantics (carrier size, ∞-presence, finite leq/function
-// tables), not behaviour. The differential property suite
+// tables, listed constants), not behaviour. The differential property suite
 // (tests/test_compile.cpp) pins each descriptor's compiled kernels against
 // the boxed virtuals.
 #pragma once
 
 #include <cstdint>
 #include <vector>
+
+#include "mrt/core/value.hpp"
 
 namespace mrt {
 
@@ -63,6 +65,7 @@ struct FamilyDesc {
   K k = K::Opaque;
   int n = 0;                          // ChainAdd cap / Table carrier size
   std::vector<std::vector<int>> fns;  // Table: fns[label][a]
+  ValueVec consts;  // Const: the listed values (empty: every carrier element)
   std::vector<FamilyDesc> kids;
 };
 

@@ -22,6 +22,11 @@ class PairFamily : public FunctionFamily {
                        g_->apply(label.second(), a.second()));
   }
 
+  bool contains(const Value& label) const override {
+    return label.is_tuple() && label.as_tuple().size() == 2 &&
+           f_->contains(label.first()) && g_->contains(label.second());
+  }
+
   std::optional<ValueVec> labels() const override {
     auto lf = f_->labels();
     auto lg = g_->labels();
@@ -77,6 +82,12 @@ class UnionFamily : public FunctionFamily {
     return g_->apply(label.untagged(), a);
   }
 
+  bool contains(const Value& label) const override {
+    if (!label.is_tagged()) return false;
+    if (label.tag() == 1) return f_->contains(label.untagged());
+    return label.tag() == 2 && g_->contains(label.untagged());
+  }
+
   std::optional<ValueVec> labels() const override {
     auto lf = f_->labels();
     auto lg = g_->labels();
@@ -126,6 +137,10 @@ class ConstOfOrderFamily : public FunctionFamily {
 
   Value apply(const Value& label, const Value&) const override {
     return label;
+  }
+
+  bool contains(const Value& label) const override {
+    return ord_->contains(label);
   }
 
   std::optional<ValueVec> labels() const override {

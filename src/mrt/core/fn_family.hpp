@@ -25,6 +25,11 @@ class FunctionFamily {
   /// Applies the function indexed by `label` to carrier element `a`.
   virtual Value apply(const Value& label, const Value& a) const = 0;
 
+  /// True iff `label` indexes a function of this family: the family-side
+  /// twin of PreorderSet::contains. Answers from the family's range or
+  /// list, never by enumerating labels(), so a relabel check stays cheap.
+  virtual bool contains(const Value& label) const = 0;
+
   /// The label (function index) set, when finite.
   virtual std::optional<ValueVec> labels() const { return std::nullopt; }
 

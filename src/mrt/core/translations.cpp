@@ -20,6 +20,9 @@ class CayleyFamily : public FunctionFamily {
   Value apply(const Value& label, const Value& a) const override {
     return mul_->op(label, a);
   }
+  bool contains(const Value& label) const override {
+    return mul_->contains(label);
+  }
   std::optional<ValueVec> labels() const override { return mul_->enumerate(); }
   ValueVec sample_labels(Rng& rng, int n) const override {
     return mul_->sample(rng, n);
@@ -163,6 +166,9 @@ class MinSetFamily : public FunctionFamily {
     return set_to_tuple(min_set(*ord_, out));
   }
 
+  bool contains(const Value& label) const override {
+    return fns_->contains(label);
+  }
   std::optional<ValueVec> labels() const override { return fns_->labels(); }
   ValueVec sample_labels(Rng& rng, int n) const override {
     return fns_->sample_labels(rng, n);

@@ -86,7 +86,8 @@ std::string TopologyDelta::describe() const {
   return out;
 }
 
-DynNet::DynNet(LabeledGraph net) : net_(std::move(net)) {
+DynNet::DynNet(LabeledGraph net, FnFamilyPtr family)
+    : net_(std::move(net)), family_(std::move(family)) {
   masks_.arc_alive.assign(static_cast<std::size_t>(net_.graph().num_arcs()),
                           true);
   masks_.node_up.assign(static_cast<std::size_t>(net_.num_nodes()), true);
@@ -94,14 +95,18 @@ DynNet::DynNet(LabeledGraph net) : net_(std::move(net)) {
 
 DynNet::Applied DynNet::apply(const TopologyDelta& delta) {
   const int narcs = net_.graph().num_arcs();
-  // Validate the whole batch before mutating anything: a bad id anywhere in
-  // it throws with the net, its masks, labels and version untouched.
+  // Validate the whole batch before mutating anything: a bad id or label
+  // anywhere in it throws with the net, its masks, labels and version
+  // untouched.
   for (const DeltaOp& op : delta.ops) {
     if (op.kind == DeltaOp::Kind::NodeDown ||
         op.kind == DeltaOp::Kind::NodeUp) {
       MRT_REQUIRE(op.node >= 0 && op.node < num_nodes());
     } else {
       MRT_REQUIRE(op.arc >= 0 && op.arc < narcs);
+    }
+    if (op.kind == DeltaOp::Kind::Relabel && family_ != nullptr) {
+      MRT_REQUIRE(family_->contains(op.label));
     }
   }
   // Snapshot-and-diff: a batch reports its *net* effect, so an arc or node

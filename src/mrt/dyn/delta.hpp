@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mrt/core/fn_family.hpp"
 #include "mrt/routing/labeled_graph.hpp"
 
 namespace mrt::dyn {
@@ -65,7 +66,10 @@ struct TopologyDelta {
 class DynNet {
  public:
   DynNet() : net_(Digraph(0), {}) {}
-  explicit DynNet(LabeledGraph net);
+  /// `family` is the label family of the algebra the net is bound under
+  /// (the solvers pass alg.fns): apply() refuses a relabel outside it.
+  /// Without one, labels are not checked.
+  explicit DynNet(LabeledGraph net, FnFamilyPtr family = nullptr);
 
   const LabeledGraph& net() const { return net_; }
   const Digraph& graph() const { return net_.graph(); }
@@ -111,13 +115,16 @@ class DynNet {
   /// Applies a batch of edits; every list in the result is sorted + deduped.
   /// Costs O(|ops| + the degrees of the nodes it names), not O(|E| + |V|):
   /// only the named arcs and nodes and the arcs incident to the named nodes
-  /// are diffed. Every op's arc or node id is checked before anything is
-  /// mutated, so a batch with an out-of-range id throws std::logic_error and
-  /// leaves the net (masks, labels, version) exactly as it was.
+  /// are diffed. Every op's arc or node id, and every relabel's label
+  /// against the bound family, is checked before anything is mutated, so a
+  /// batch with an out-of-range id or an out-of-family label throws
+  /// std::logic_error and leaves the net (masks, labels, version) exactly
+  /// as it was.
   Applied apply(const TopologyDelta& delta);
 
  private:
   LabeledGraph net_;
+  FnFamilyPtr family_;  // null: labels unchecked
   SurvivingTopology masks_;  // admin state per arc id, crash state per node
   std::uint64_t version_ = 0;
 };

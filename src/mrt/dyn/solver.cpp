@@ -82,7 +82,7 @@ class EngineBase : public Solver {
     MRT_REQUIRE(dest >= 0 && dest < net.num_nodes());
     static obs::Histogram& solve_ns = obs::registry().histogram("dyn.solve_ns");
     obs::ScopedTimer timer(solve_ns);
-    dnet_ = DynNet(net);
+    dnet_ = DynNet(net, alg_.fns);
     dest_ = dest;
     origin_ = origin;
     bound_ = true;
@@ -116,9 +116,7 @@ class EngineBase : public Solver {
     const DynNet::Applied ap = dnet_.apply(delta);
     dyn::journal_delta(jstream_, delta, ap, dnet_);
     // Delta-aware re-encoding: only the relabeled arcs' programs recompile.
-    if (weng_ != nullptr) {
-      for (int id : ap.relabeled_arcs) cnet_.relabel(id, dnet_.label(id));
-    }
+    for (int id : ap.relabeled_arcs) cnet_.relabel(id, dnet_.label(id));
     begin_stats(/*cold=*/false, ap.changed_arcs.size());
     if (!ap.any()) {
       finish_stats(/*is_update=*/true);

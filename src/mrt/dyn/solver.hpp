@@ -83,7 +83,9 @@ class Solver {
 
   /// Applies `delta` to the bound topology and recomputes incrementally
   /// (cold when dyn::enabled() is false or the previous state did not
-  /// converge). Requires a prior solve().
+  /// converge). Requires a prior solve(). A delta with an out-of-range id
+  /// or a relabel outside the algebra's label family throws
+  /// std::logic_error and leaves the solver untouched.
   virtual const Routing& update(const dyn::TopologyDelta& delta) = 0;
 
   /// The current solution (valid after solve()).

@@ -33,8 +33,9 @@ using obs::Subsystem;
 // shared arc visit changes only the memory traffic — each column's
 // trajectory, and therefore its bytes, is exactly the standalone solver's.
 //
-// A table that does not compile runs that standalone solver itself: one
-// reference column, a dyn::Solver(EngineKind::Bellman), per destination.
+// A table that does not compile at bind runs that standalone solver itself:
+// one reference column, a dyn::Solver(EngineKind::Bellman), per
+// destination. The choice holds for the binding's life.
 //
 // An update rebuilds and diffs only its dirty lanes (rib.hpp). The rule is
 // the standalone Bellman engine's, so the skipped rebuilds — and the
@@ -49,7 +50,7 @@ struct RibSolver::Impl {
   bool bound = false;
 
   compile::CompiledNet cnet;
-  bool flat = false;       // batched flat kernels active
+  bool flat = false;       // batched flat kernels active (fixed at bind)
   std::size_t stride = 0;  // words per weight (flat)
   std::vector<std::uint64_t> origin_w;
 
@@ -896,48 +897,6 @@ struct RibSolver::Impl {
     }
   }
 
-  void make_refs() {
-    refs.clear();
-    for (std::size_t c = 0; c < dsts.size(); ++c) {
-      refs.push_back(dyn::make_solver(dyn::EngineKind::Bellman, alg));
-    }
-  }
-
-  /// A relabel pushed the network off the compiled path (a label outside the
-  /// family's range): drop the flat blocks and bind one reference column
-  /// per destination to the current topology — a cold solve over the
-  /// current labels, then the admin and crash masks as one delta. Every
-  /// column does cold work, so the demoting update reports cold. The flat
-  /// columns, which this update has not touched and so are as published,
-  /// are decoded as the base its route changes are diffed against.
-  void demote() {
-    ref_pub.resize(dsts.size());
-    for (int c = 0; c < columns(); ++c) {
-      decode_column(c, ref_pub[static_cast<std::size_t>(c)]);
-    }
-    blocks = {};
-    rcache = {};
-    cnet = compile::CompiledNet();
-    flat = false;
-    if (obs::enabled()) obs::counter("dyn.rib.flat_demotions").add(1);
-    std::vector<bool> arc_up(static_cast<std::size_t>(dnet.graph().num_arcs()));
-    std::vector<bool> node_up(static_cast<std::size_t>(dnet.num_nodes()));
-    for (std::size_t a = 0; a < arc_up.size(); ++a) {
-      arc_up[a] = dnet.arc_admin_up(static_cast<int>(a));
-    }
-    for (std::size_t v = 0; v < node_up.size(); ++v) {
-      node_up[v] = dnet.node_up(static_cast<int>(v));
-    }
-    const TopologyDelta masks = TopologyDelta::to_state(arc_up, node_up);
-    make_refs();
-    run_refs([&](Solver& ref, std::size_t c, const auto& fold) {
-      ref.solve(dnet.net(), dsts[c], origin);
-      fold();
-      ref.update(masks);
-      fold();
-    });
-  }
-
   // --- stats -------------------------------------------------------------------
 
   void begin_stats(bool cold, std::size_t changed_arcs) {
@@ -974,7 +933,7 @@ struct RibSolver::Impl {
   void bind(const LabeledGraph& net, std::vector<int> ds, const Value& org) {
     MRT_REQUIRE(!ds.empty());
     for (int d : ds) MRT_REQUIRE(d >= 0 && d < net.num_nodes());
-    dnet = DynNet(net);
+    dnet = DynNet(net, alg.fns);
     origin = org;
     dsts = std::move(ds);
     bound = true;
@@ -1005,7 +964,9 @@ struct RibSolver::Impl {
     ref_pub.clear();
     if (!flat) {
       cnet = compile::CompiledNet();
-      make_refs();
+      for (std::size_t c = 0; c < dsts.size(); ++c) {
+        refs.push_back(dyn::make_solver(dyn::EngineKind::Bellman, alg));
+      }
       return;
     }
     const int n = dnet.num_nodes();
@@ -1062,13 +1023,10 @@ struct RibSolver::Impl {
     dyn::journal_delta(jstream, delta, ap, dnet);
     begin_stats(/*cold=*/false, ap.changed_arcs.size());
     if (flat) {
-      // Delta-aware re-encoding, as in the standalone engines; a relabel
-      // that pushes the network off the compiled path demotes the table.
+      // Delta-aware re-encoding, as in the standalone engines. dnet checked
+      // every label against the family, so every program compiles.
       for (int id : ap.relabeled_arcs) cnet.relabel(id, dnet.label(id));
-      if (!cnet.ok()) {
-        demote();
-        publish_refs();
-      } else if (ap.any()) {
+      if (ap.any()) {
         // An arc's alive state changes only if it is a changed arc.
         for (int id : ap.changed_arcs) set_alive(id);
         run_all_blocks(&ap, /*cold_all=*/!dyn::enabled());

@@ -15,12 +15,14 @@
 // so one worklist pass over the CSR adjacency relaxes every column of a
 // block per arc visit, running the fused label program through
 // CompiledAlgebra::select_block (one opcode decode for the whole block).
-// A table that does not compile — no engine, MRT_COMPILE=0, or an algebra or
-// label the compiler rejects, at bind time or after a relabel delta — holds
-// one reference column per destination instead: a standalone
-// dyn::Solver(EngineKind::Bellman), the engine the flat columns are
-// byte-compared against. The flat kernels are the only relaxation engine
-// the RIB itself implements.
+// A table that does not compile at bind — no engine, MRT_COMPILE=0, or an
+// algebra or label the compiler rejects — holds one reference column per
+// destination instead: a standalone dyn::Solver(EngineKind::Bellman), the
+// engine the flat columns are byte-compared against. The flat kernels are
+// the only relaxation engine the RIB itself implements. A table keeps the
+// engine it was bound with: a relabel outside the algebra's label family
+// is refused before it mutates anything, and every member of a compiled
+// family compiles.
 //
 // The dynamic seams thread straight through: warm updates take a
 // dyn::TopologyDelta, refresh one shared alive-mask, run one transitive
@@ -113,8 +115,8 @@ class RibSolver {
  public:
   /// `engine` (optional, non-owning, must outlive the solver) routes the
   /// batched sweep through the compiled flat kernels; without it — or when
-  /// the algebra or a label does not compile — every column is a reference
-  /// dyn::Solver(EngineKind::Bellman).
+  /// the algebra or a label does not compile at bind — every column is a
+  /// reference dyn::Solver(EngineKind::Bellman).
   explicit RibSolver(const OrderTransform& alg,
                      const compile::WeightEngine* engine = nullptr);
   ~RibSolver();
@@ -130,10 +132,9 @@ class RibSolver {
 
   /// Applies `delta` to the bound topology and recomputes every column
   /// incrementally (cold when dyn::enabled() is false or a column's previous
-  /// pass did not converge, and for every column when a relabel takes a flat
-  /// table off the compiled path). Requires a prior solve(). A delta with an
-  /// out-of-range arc or node id throws std::logic_error and leaves the
-  /// table untouched.
+  /// pass did not converge). Requires a prior solve(). A delta with an
+  /// out-of-range arc or node id, or a relabel outside the algebra's label
+  /// family, throws std::logic_error and leaves the table untouched.
   void update(const dyn::TopologyDelta& delta);
 
   int num_columns() const;
@@ -148,14 +149,13 @@ class RibSolver {
   const RibStats& last_update() const;
   /// The route transitions of the last update(), in column-then-node order
   /// (empty after solve()). A flat table diffs the words of its dirty lanes
-  /// against its published copy; reference columns diff boxed Routings, as
-  /// does the update that demotes a flat table.
+  /// against its published copy; reference columns diff boxed Routings.
   const std::vector<RouteDiff>& last_changes() const;
   const dyn::DynNet& net() const;
   std::uint32_t journal_stream() const;
   /// True when the batched flat kernels are active (compiled engine present,
-  /// algebra + all labels compiled, origin encodable). A relabel that leaves
-  /// the compiled range turns it false for the rest of the binding.
+  /// algebra + all labels compiled, origin encodable). Decided by solve()
+  /// and unchanged by every update() of that binding.
   bool batched_flat() const;
 
  private:

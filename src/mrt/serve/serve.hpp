@@ -69,7 +69,9 @@ class Daemon {
   /// Applies one delta batch warm and reports the route transitions it
   /// caused (the table's last_changes()) to `sink` (if set). Returns the
   /// number of route changes. A batch the table rejects (an out-of-range
-  /// id) throws and changes nothing.
+  /// arc or node id, or a relabel outside the algebra's label family)
+  /// throws std::logic_error and changes nothing: not the table, not its
+  /// engine, not stats().
   std::size_t apply(const dyn::TopologyDelta& delta,
                     const ChangeSink& sink = {});
 

@@ -161,6 +161,18 @@ TEST(DynNet, RejectedBatchMutatesNothing) {
   const auto ap = net.apply(TopologyDelta{}.arc_down(0));
   EXPECT_EQ(ap.changed_arcs, (std::vector<int>{0}));
   EXPECT_EQ(net.version(), v0 + 1);
+
+  // Bound to its algebra's family (saturating +c, c in 1..5), the net also
+  // refuses a relabel outside it, after ops that would already have applied.
+  dyn::DynNet bound(diamond(), fam_chain_add(20, 1, 5));
+  const TopologyDelta past = TopologyDelta{}.arc_down(0).relabel(1, I(9));
+  EXPECT_THROW(bound.apply(past), std::logic_error);
+  EXPECT_EQ(bound.version(), 0u);
+  EXPECT_TRUE(bound.arc_admin_up(0));
+  EXPECT_EQ(bound.label(1), I(1));
+  const auto in = bound.apply(TopologyDelta{}.arc_down(0).relabel(1, I(5)));
+  EXPECT_EQ(in.changed_arcs, (std::vector<int>{0, 1}));
+  EXPECT_EQ(bound.label(1), I(5));
 }
 
 // DynNet::apply diffs only what a batch names: its arcs, its nodes and the
@@ -285,11 +297,12 @@ TEST_P(SolverSeam, ArcDownRelabelAndRecoveryMatchCold) {
   }
   expect_same_routing(warm->routing(), cold->routing(), "arc_down");
 
-  // Relabel the detour to be worse than the direct arc.
-  warm->update(TopologyDelta{}.relabel(3, I(9)));
+  // Relabel the detour (2 + 5) to be worse than the direct arc (5), with
+  // the top of the family's 1..5 range.
+  warm->update(TopologyDelta{}.relabel(3, I(5)));
   {
     DynToggle off(false);
-    cold->update(TopologyDelta{}.relabel(3, I(9)));
+    cold->update(TopologyDelta{}.relabel(3, I(5)));
   }
   expect_same_routing(warm->routing(), cold->routing(), "relabel");
   EXPECT_EQ(warm->routing().next_arc[0], 4);  // direct 0→3 at weight 5
@@ -483,7 +496,8 @@ TEST(CompiledNetRelabel, ReencodesSingleArc) {
   LabeledGraph net = diamond();
   compile::CompiledNet cn = compile::CompiledNet::make(eng, net);
   ASSERT_TRUE(cn.ok());
-  EXPECT_TRUE(cn.relabel(0, I(3)));
+  cn.relabel(0, I(3));
+  EXPECT_TRUE(cn.ok());
   // The recompiled program must behave like a from-scratch compilation.
   net.relabel(0, I(3));
   const compile::CompiledNet fresh = compile::CompiledNet::make(eng, net);

@@ -287,70 +287,6 @@ TEST(RibDifferential, ColumnsByteIdenticalToStandaloneAcrossDeltas) {
   EXPECT_GT(vec_trials, 5) << "vertical SIMD kernels barely exercised";
 }
 
-// A relabel outside the compiled range demotes a flat table to reference
-// columns mid-stream. The boxed chain-add family accepts I(1000) (it
-// saturates at n), but the compiler rejects a chain-add label above n, so
-// one batch per trial carries that relabel. Every converged column matches
-// a standalone Bellman solver before, at and after the switch; the switch
-// is counted, and the demoting update reports the cold work it does.
-TEST(RibDifferential, DemotionToReferenceColumnsKeepsEveryByte) {
-  constexpr int kTrials = 24;
-  constexpr int kBatches = 10;
-  const bool obs_before = obs::enabled();
-  obs::set_enabled(true);
-  const obs::Counter& demotions =
-      obs::registry().counter("dyn.rib.flat_demotions");
-  for (int trial = 0; trial < kTrials; ++trial) {
-    Rng rng(par::mix_seed(0x51B9, static_cast<std::uint64_t>(trial)));
-    RibInstance inst = sat_plus_instance(rng);
-    inst.desc += " trial " + std::to_string(trial);
-    ScopedToggles toggles(/*dyn_on=*/true, (trial % 3 == 0) ? 4 : 1,
-                          /*simd_on=*/true);
-    const compile::WeightEngine eng(inst.ot);
-    const int n = inst.net.num_nodes();
-    rib::RibSolver rib(inst.ot, &eng);
-    rib.solve_all(inst.net, I(0));
-    ASSERT_TRUE(rib.batched_flat()) << inst.desc;
-
-    std::vector<std::unique_ptr<Solver>> ref;
-    for (int d = 0; d < n; ++d) {
-      ref.push_back(dyn::make_solver(dyn::EngineKind::Bellman, inst.ot));
-      ref.back()->solve(inst.net, d, I(0));
-    }
-    const int demote_at = 1 + static_cast<int>(rng.below(kBatches - 2));
-    for (int b = 0; b < kBatches; ++b) {
-      TopologyDelta d = random_delta(rng, inst);
-      if (b == demote_at) {
-        d.relabel(static_cast<int>(rng.below(static_cast<std::uint64_t>(
-                      inst.net.graph().num_arcs()))),
-                  I(1000));
-      }
-      const std::string what =
-          inst.desc + " batch " + std::to_string(b) + " " + d.describe();
-      const std::uint64_t before = demotions.value();
-      rib.update(d);
-      EXPECT_EQ(rib.batched_flat(), b < demote_at) << what;
-      EXPECT_EQ(demotions.value(), before + (b == demote_at ? 1 : 0)) << what;
-      if (b == demote_at) {
-        EXPECT_TRUE(rib.last_update().cold) << what;
-        EXPECT_EQ(rib.last_update().cold_columns, n) << what;
-        EXPECT_EQ(rib.last_update().affected, std::vector<int>(n, n)) << what;
-      }
-      for (int c = 0; c < n; ++c) {
-        ref[static_cast<std::size_t>(c)]->update(d);
-        ASSERT_EQ(rib.column_converged(c),
-                  ref[static_cast<std::size_t>(c)]->converged())
-            << what << " col " << c;
-        if (!rib.column_converged(c)) continue;
-        expect_identical(rib.routing(c),
-                         ref[static_cast<std::size_t>(c)]->routing(),
-                         what + " col " + std::to_string(c));
-      }
-    }
-  }
-  obs::set_enabled(obs_before);
-}
-
 // The mrt::par contract, verified bit-for-bit: the same instance and delta
 // sequence run under thread limits 1 and 4 must produce identical columns
 // AND identical work accounting after every batch.

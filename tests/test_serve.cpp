@@ -12,15 +12,17 @@
 //                 OpenMetrics exposition after one apply.
 //   resilience  — a missing replay file or a corrupt frame terminates the
 //                 drain gracefully (decode_errors bumped, error() set); a
-//                 batch with an out-of-range id is rejected whole, leaving
-//                 every table exactly as it was.
-//   demotion    — a relabel that takes a flat table off the compiled path
-//                 is a cold update, and the daemon counts it as one.
+//                 batch with an out-of-range id, a wrong-carrier label or a
+//                 label outside the algebra's family is rejected whole,
+//                 leaving every table, and its engine, exactly as it was.
 //   diff        — the route changes a flat daemon forwards (words diffed in
 //                 the table) equal those of a reference-column daemon and a
-//                 boxed before/after diff of every column, frame by frame.
+//                 boxed before/after diff of every column, frame by frame,
+//                 with well-framed bad frames fed through the wire between
+//                 them.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -221,47 +223,61 @@ TEST(Serve, MetricsPresentInJsonAndOpenMetrics) {
   obs::set_enabled(was_enabled);
 }
 
-// The bad batch downs a witness arc and then names a node that does not
-// exist. It must throw before the arc goes down anywhere: the next good
-// batch (downing that same arc) then lands exactly where it does on a twin
-// that never saw the bad one — flat table, reference-column table and
-// daemon alike.
-TEST(Serve, RejectedBatchLeavesEveryTableUntouched) {
-  Rng rng(0x5E13);
-  const Scenario sc = gao_rexford_hierarchy(rng, 32, 16);
-  const compile::WeightEngine eng(sc.alg);
-  const int n = sc.net.num_nodes();
-  std::vector<int> dests;
-  for (int v = 0; v < n; v += 3) dests.push_back(v);
-
-  rib::RibSolver flat(sc.alg, &eng);
-  rib::RibSolver flat_twin(sc.alg, &eng);
-  rib::RibSolver ref(sc.alg);
-  rib::RibSolver ref_twin(sc.alg);
-  for (rib::RibSolver* r : {&flat, &flat_twin, &ref, &ref_twin}) {
-    r->solve(sc.net, dests, sc.origin);
+void expect_same_table(const rib::RibSolver& a, const rib::RibSolver& b,
+                       const std::string& what) {
+  const dyn::DynNet& na = a.net();
+  const dyn::DynNet& nb = b.net();
+  ASSERT_EQ(na.version(), nb.version()) << what;
+  for (int id = 0; id < na.graph().num_arcs(); ++id) {
+    ASSERT_EQ(na.arc_admin_up(id), nb.arc_admin_up(id)) << what << " arc " << id;
+    ASSERT_EQ(na.label(id), nb.label(id)) << what << " arc " << id;
   }
-  serve::Daemon daemon(sc.alg, &eng);
-  serve::Daemon daemon_twin(sc.alg, &eng);
-  daemon.start(sc.net, dests, sc.origin);
-  daemon_twin.start(sc.net, dests, sc.origin);
+  for (int v = 0; v < na.num_nodes(); ++v) {
+    ASSERT_EQ(na.node_up(v), nb.node_up(v)) << what << " node " << v;
+  }
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  for (int c = 0; c < a.num_columns(); ++c) {
+    expect_identical(a.routing(c), b.routing(c),
+                     what + " col " + std::to_string(c));
+  }
+}
+
+// Each bad batch must throw from a flat table, a reference-column table and
+// a daemon, and leave each exactly as its twin that never saw it: the same
+// version, the same engine and the same bytes in every column. The good
+// batch then lands on all six alike.
+void expect_rejected(const OrderTransform& alg, const LabeledGraph& net,
+                     const std::vector<int>& dests, const Value& origin,
+                     const std::vector<TopologyDelta>& bad,
+                     const TopologyDelta& good) {
+  const compile::WeightEngine eng(alg);
+  rib::RibSolver flat(alg, &eng);
+  rib::RibSolver flat_twin(alg, &eng);
+  rib::RibSolver ref(alg);
+  rib::RibSolver ref_twin(alg);
+  for (rib::RibSolver* r : {&flat, &flat_twin, &ref, &ref_twin}) {
+    r->solve(net, dests, origin);
+  }
+  serve::Daemon daemon(alg, &eng);
+  serve::Daemon daemon_twin(alg, &eng);
+  daemon.start(net, dests, origin);
+  daemon_twin.start(net, dests, origin);
   ASSERT_TRUE(flat.batched_flat());
+  ASSERT_TRUE(daemon.rib().batched_flat());
   ASSERT_FALSE(ref.batched_flat());
 
-  int w = -1;  // an arc some route of column 0 forwards over
-  for (int v = 0; v < n && w < 0; ++v) w = flat.routing(0).next_arc[v];
-  ASSERT_GE(w, 0);
-  const TopologyDelta bad = TopologyDelta{}.arc_down(w).node_down(n + 7);
-  const TopologyDelta good = TopologyDelta{}.arc_down(w);
-
-  EXPECT_THROW(flat.update(bad), std::logic_error);
-  EXPECT_THROW(ref.update(bad), std::logic_error);
-  EXPECT_THROW(daemon.apply(bad), std::logic_error);
-  const std::vector<const rib::RibSolver*> rejected = {&flat, &ref,
-                                                       &daemon.rib()};
-  for (const rib::RibSolver* r : rejected) {
-    EXPECT_EQ(r->net().version(), flat_twin.net().version());
-    EXPECT_TRUE(r->net().arc_alive(w));
+  const std::vector<std::pair<const rib::RibSolver*, const rib::RibSolver*>>
+      twins = {{&flat, &flat_twin},
+               {&ref, &ref_twin},
+               {&daemon.rib(), &daemon_twin.rib()}};
+  for (const TopologyDelta& d : bad) {
+    EXPECT_THROW(flat.update(d), std::logic_error) << d.describe();
+    EXPECT_THROW(ref.update(d), std::logic_error) << d.describe();
+    EXPECT_THROW(daemon.apply(d), std::logic_error) << d.describe();
+    for (const auto& [a, b] : twins) {
+      EXPECT_EQ(a->batched_flat(), b->batched_flat()) << d.describe();
+      expect_same_table(*a, *b, "rejected " + d.describe());
+    }
   }
   EXPECT_EQ(daemon.stats().deltas_consumed, 0u);
 
@@ -272,79 +288,132 @@ TEST(Serve, RejectedBatchLeavesEveryTableUntouched) {
   EXPECT_GT(changes, 0u);
   EXPECT_EQ(changes, daemon_twin.apply(good));
   EXPECT_EQ(daemon.stats().route_changes, daemon_twin.stats().route_changes);
-
-  const auto same_table = [](const rib::RibSolver& a, const rib::RibSolver& b,
-                             const std::string& what) {
-    ASSERT_EQ(a.net().version(), b.net().version()) << what;
-    ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
-    for (int c = 0; c < a.num_columns(); ++c) {
-      expect_identical(a.routing(c), b.routing(c),
-                       what + " col " + std::to_string(c));
-    }
-  };
-  same_table(flat, flat_twin, "flat");
-  same_table(ref, ref_twin, "reference");
-  same_table(daemon.rib(), daemon_twin.rib(), "daemon");
-  same_table(flat, ref, "flat vs reference");
+  for (const auto& [a, b] : twins) {
+    EXPECT_EQ(a->batched_flat(), b->batched_flat());
+    expect_same_table(*a, *b, "good " + good.describe());
+  }
+  expect_same_table(flat, ref, "flat vs reference");
 }
 
-// A relabel the compiler rejects (a chain-add label above n) moves a flat
-// table to reference columns. That update re-solves every column, so it is
-// reported cold and the daemon counts it among its cold updates; the route
-// changes it causes are diffed as for any other update.
-TEST(Serve, DemotionCountsAsColdUpdate) {
-  // Line 0 <- 1 <- 2 over saturating +c on {0..8}.
-  Digraph g(3);
-  const int a10 = g.add_arc(1, 0);
-  const int a21 = g.add_arc(2, 1);
-  const int top = 8;
-  OrderTransform ot{"chain(<=,sat+)", ord_chain(top),
-                    fam_chain_add(top, 1, 1), {}};
-  LabeledGraph net(std::move(g), {I(1), I(1)});
-  const compile::WeightEngine eng(ot);
-
-  serve::Daemon daemon(ot, &eng);
-  daemon.start(net, {0, 1, 2}, I(0));
-  ASSERT_TRUE(daemon.rib().batched_flat());
-
-  std::vector<serve::RouteChange> events;
-  const auto sink = [&events](const serve::RouteChange& ev) {
-    events.push_back(ev);
-  };
-  // Node 2's routes to 0 and to 1 both saturate at the top weight.
-  EXPECT_EQ(daemon.apply(TopologyDelta{}.relabel(a21, I(1000)), sink), 2u);
-  EXPECT_FALSE(daemon.rib().batched_flat());
-  EXPECT_TRUE(daemon.rib().last_update().cold);
-  EXPECT_EQ(daemon.stats().cold_updates, 1u);
-  EXPECT_EQ(daemon.stats().warm_updates, 0u);
-  ASSERT_EQ(events.size(), 2u);
-  for (const serve::RouteChange& ev : events) {
-    EXPECT_EQ(ev.node, 2);
-    EXPECT_TRUE(ev.had_route);
-    EXPECT_TRUE(ev.has_route);
-    EXPECT_EQ(ev.next_arc, a21);
+// The bad batches down a witness arc and then name a node that does not
+// exist, relabel that arc past the family's table or with a wrong-carrier
+// label, raise a chain-add label past its range, or give hop count a cost
+// other than 1. Each must throw before the arc goes down or the label
+// changes anywhere.
+TEST(Serve, RejectedBatchLeavesEveryTableUntouched) {
+  {
+    SCOPED_TRACE("gao_rexford");
+    Rng rng(0x5E13);
+    const Scenario sc = gao_rexford_hierarchy(rng, 32, 16);
+    const int n = sc.net.num_nodes();
+    std::vector<int> dests;
+    for (int v = 0; v < n; v += 3) dests.push_back(v);
+    const compile::WeightEngine eng(sc.alg);
+    rib::RibSolver probe(sc.alg, &eng);
+    probe.solve(sc.net, dests, sc.origin);
+    int w = -1;  // an arc some route of column 0 forwards over
+    for (int v = 0; v < n && w < 0; ++v) w = probe.routing(0).next_arc[v];
+    ASSERT_GE(w, 0);
+    expect_rejected(sc.alg, sc.net, dests, sc.origin,
+                    {TopologyDelta{}.arc_down(w).node_down(n + 7),
+                     TopologyDelta{}.arc_down(w).relabel(w, I(3)),
+                     TopologyDelta{}.arc_down(w).relabel(
+                         w, Value::pair(I(1), I(2)))},
+                    TopologyDelta{}.arc_down(w));
   }
-  EXPECT_EQ(daemon.rib().routing(0).weight[2], I(top));
-  EXPECT_EQ(daemon.rib().routing(1).weight[2], I(top));
+  {
+    SCOPED_TRACE("chain_add");
+    // Line 0 <- 1 <- 2 over saturating +1 on {0..8}.
+    Digraph g(3);
+    const int a10 = g.add_arc(1, 0);
+    const int a21 = g.add_arc(2, 1);
+    const OrderTransform ot{"chain(<=,sat+)", ord_chain(8),
+                            fam_chain_add(8, 1, 1), {}};
+    const LabeledGraph net(std::move(g), {I(1), I(1)});
+    expect_rejected(ot, net, {0, 1, 2}, I(0),
+                    {TopologyDelta{}.relabel(a21, I(1000))},
+                    TopologyDelta{}.arc_down(a10));
+  }
+  {
+    SCOPED_TRACE("hop_count");
+    const Scenario sc = good_gadget_hops();
+    expect_rejected(sc.alg, sc.net, {0, 1, 2, 3}, sc.origin,
+                    {TopologyDelta{}.relabel(0, I(0)),
+                     TopologyDelta{}.relabel(0, I(7)),
+                     TopologyDelta{}.relabel(0, I(-5))},
+                    TopologyDelta{}.arc_down(0));
+  }
+}
 
-  // The reference columns keep the table warm from here on.
-  events.clear();
-  EXPECT_EQ(daemon.apply(TopologyDelta{}.arc_down(a10), sink), 2u);
-  EXPECT_EQ(daemon.stats().warm_updates, 1u);
-  EXPECT_EQ(daemon.stats().cold_updates, 1u);
+/// A bad variant of `good`, for the scenario `sc` at state `net`: one op is
+/// inserted at a random position that names an arc or node id out of
+/// range, relabels an arc with a label of the wrong carrier shape, or
+/// relabels it with a well-shaped label outside the algebra's family.
+/// `kind` picks which (0..3).
+TopologyDelta bad_variant(Rng& rng, const Scenario& sc, const dyn::DynNet& net,
+                          const TopologyDelta& good, int kind) {
+  const int m = net.graph().num_arcs();
+  const int n = net.num_nodes();
+  const int a = static_cast<int>(rng.below(static_cast<std::uint64_t>(m)));
+  const bool ladder = sc.net.label(0).is_tuple();
+  const Value gr = ladder ? net.label(a).first().first() : net.label(a);
+  dyn::DeltaOp op;
+  op.kind = dyn::DeltaOp::Kind::Relabel;
+  op.arc = a;
+  switch (kind) {
+    case 0:  // arc id out of range
+      op.kind = rng.chance(0.5) ? dyn::DeltaOp::Kind::ArcDown
+                                : dyn::DeltaOp::Kind::Relabel;
+      op.arc = rng.chance(0.5) ? m + static_cast<int>(rng.below(5)) : -1;
+      op.label = net.label(a);
+      break;
+    case 1:  // node id out of range
+      op.kind = rng.chance(0.5) ? dyn::DeltaOp::Kind::NodeDown
+                                : dyn::DeltaOp::Kind::NodeUp;
+      op.arc = -1;
+      op.node = rng.chance(0.5) ? n + static_cast<int>(rng.below(5)) : -2;
+      break;
+    case 2: {  // wrong carrier
+      const ValueVec wrong = {
+          ladder ? gr : Value::pair(I(1), I(2)), Value::inf(),
+          Value::real(0.5), Value::tagged(1, gr),
+          ladder ? Value::pair(gr, I(3)) : Value::unit()};
+      op.label = rng.pick(wrong);
+      break;
+    }
+    default: {  // out of the family: a relationship past the table, or (on
+                // the ladder) an AS hop other than 1 or an IGP cost
+                // outside 1..9
+      const ValueVec outside =
+          ladder ? ValueVec{mrt::testing::igp_label(gr, -1),
+                            mrt::testing::igp_label(gr, 10),
+                            mrt::testing::igp_label(I(3), 5),
+                            Value::pair(Value::pair(gr, I(2)), I(4))}
+                 : ValueVec{I(3), I(-1)};
+      op.label = rng.pick(outside);
+      break;
+    }
+  }
+  TopologyDelta bad = good;
+  const std::size_t at = rng.below(bad.ops.size() + 1);
+  bad.ops.insert(bad.ops.begin() + static_cast<std::ptrdiff_t>(at),
+                 std::move(op));
+  return bad;
 }
 
 // Three sources of route changes agree on every frame: a flat daemon (the
 // table diffs the words of its dirty lanes), a reference-column daemon (the
 // table diffs boxed Routings) and a boxed before/after diff of the flat
 // daemon's routing(c), computed here — 2 × 260 random frames on a
-// Gao–Rexford hierarchy and on the igp lex ladder. Each run also applies a
-// rejected batch and then a good frame, and the ladder run ends with a
-// relabel the compiler rejects, so the flat daemon demotes mid-stream.
+// Gao–Rexford hierarchy and on the igp lex ladder. Before every 12th frame
+// both daemons drain a bad variant of it through the wire (encode_delta,
+// then BufferSource): it must throw and leave every column as the last
+// good frame left it. The ladder's variant at frame 230 relabels arc 0 to
+// IGP cost -1. The flat daemon stays on the flat kernels throughout.
 TEST(Serve, RouteChangesAgreeAcrossFlatReferenceAndBoxedDiff) {
   constexpr int kFrames = 260;
-  constexpr int kRejectAt = 97;
-  constexpr int kDemoteAt = 230;
+  constexpr int kRejectEvery = 12;
+  constexpr int kCostBelowFamilyAt = 230;
   using Key = std::tuple<std::uint64_t, int, int, int, bool, bool, int>;
   const auto key = [](const serve::RouteChange& ev) {
     return Key{ev.update_index, ev.column, ev.dest, ev.node, ev.had_route,
@@ -377,18 +446,36 @@ TEST(Serve, RouteChangesAgreeAcrossFlatReferenceAndBoxedDiff) {
     for (std::size_t c = 0; c < dests.size(); ++c) {
       before[c] = flat.rib().routing(static_cast<int>(c));
     }
+    int rejected = 0;
     for (int f = 0; f < kFrames; ++f) {
-      if (f == kRejectAt) {
-        TopologyDelta bad =
-            mrt::testing::random_frame(rng, sc, flat.rib().net());
-        bad.node_down(sc.net.num_nodes() + 3);
-        EXPECT_THROW(flat.apply(bad, to_flat), std::logic_error);
-        EXPECT_THROW(ref.apply(bad, to_ref), std::logic_error);
-      }
       TopologyDelta d = mrt::testing::random_frame(rng, sc, flat.rib().net());
-      if (scenario == 1 && f == kDemoteAt) {
-        const Value& gr = sc.net.label(0).first().first();
-        d.relabel(0, mrt::testing::igp_label(gr, -1));
+      if (f % kRejectEvery == kCostBelowFamilyAt % kRejectEvery) {
+        TopologyDelta bad =
+            bad_variant(rng, sc, flat.rib().net(), d, rejected % 4);
+        if (scenario == 1 && f == kCostBelowFamilyAt) {
+          const Value& gr = flat.rib().net().label(0).first().first();
+          bad = d;
+          bad.relabel(0, mrt::testing::igp_label(gr, -1));
+        }
+        ++rejected;
+        std::vector<std::uint8_t> bytes;
+        stream::encode_delta(bad, bytes);
+        const std::string what = "rejected " + bad.describe();
+        const std::uint64_t version = flat.rib().net().version();
+        stream::BufferSource flat_wire(bytes);
+        stream::BufferSource ref_wire(bytes);
+        from_flat.clear();
+        from_ref.clear();
+        EXPECT_THROW(flat.drain(flat_wire, to_flat), std::logic_error) << what;
+        EXPECT_THROW(ref.drain(ref_wire, to_ref), std::logic_error) << what;
+        EXPECT_TRUE(from_flat.empty() && from_ref.empty()) << what;
+        for (const serve::Daemon* dm : {&flat, &ref}) {
+          ASSERT_EQ(dm->rib().net().version(), version) << what;
+          for (std::size_t c = 0; c < dests.size(); ++c) {
+            expect_identical(dm->rib().routing(static_cast<int>(c)), before[c],
+                             what + " col " + std::to_string(c));
+          }
+        }
       }
       const std::string what =
           "frame " + std::to_string(f) + " " + d.describe();
@@ -396,8 +483,7 @@ TEST(Serve, RouteChangesAgreeAcrossFlatReferenceAndBoxedDiff) {
       from_ref.clear();
       const std::size_t nf = flat.apply(d, to_flat);
       const std::size_t nr = ref.apply(d, to_ref);
-      EXPECT_EQ(flat.rib().batched_flat(), scenario == 0 || f < kDemoteAt)
-          << what;
+      EXPECT_TRUE(flat.rib().batched_flat()) << what;
       std::vector<Key> boxed;
       const std::uint64_t index = flat.stats().deltas_consumed - 1;
       for (std::size_t c = 0; c < dests.size(); ++c) {
@@ -422,6 +508,7 @@ TEST(Serve, RouteChangesAgreeAcrossFlatReferenceAndBoxedDiff) {
       EXPECT_EQ(nr, boxed.size()) << what;
       total += static_cast<long>(boxed.size());
     }
+    EXPECT_GE(rejected, 20);
     EXPECT_EQ(flat.stats().route_changes, ref.stats().route_changes);
     EXPECT_EQ(flat.stats().withdrawals, ref.stats().withdrawals);
     EXPECT_EQ(flat.stats().deltas_consumed,
